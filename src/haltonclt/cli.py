@@ -15,14 +15,14 @@ import csv
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd
 from pathlib import Path
 
 import numpy as np
 
-from . import spectral
+from . import __version__, spectral
 from .discrepancy import (
     BoxTarget,
     crt_frame,
@@ -30,15 +30,8 @@ from .discrepancy import (
     fast_two_sided_discrepancy,
     two_sided_discrepancy_naive,
 )
-from .kernel import PrimeBasis, format_rational, parse_rational, truncate
-from .odometer import (
-    DigitPoint,
-    forward_orbit_from_zero,
-    halton,
-    inverse_step,
-    jump,
-    step,
-)
+from .kernel import PrimeBasis, format_rational, parse_rational
+from .odometer import DigitPoint, forward_orbit_from_zero, halton, inverse_step, step
 from .rng import CounterRng
 from .temporal import (
     ConditionReport,
@@ -49,8 +42,6 @@ from .temporal import (
     temporal_moments,
     theorem_window,
 )
-
-VERSION = "0.1.0"
 
 
 class ConfigError(Exception):
@@ -64,9 +55,7 @@ class ExperimentConfig:
     n: int = 2**14
     seed: int = 0
     kappa1: Fraction = Fraction(2, 3)
-    depth: int | None = None  # truncation-depth override for the fast counter
     out: Path | None = None
-    subsample: int | None = None
     require_feasible: bool = False
 
     def __post_init__(self):
@@ -113,9 +102,10 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
         kwargs["primes"] = tuple(int(t) for t in entries["primes"].split(","))
     if "y" in entries:
         kwargs["y"] = tuple(parse_rational(t) for t in entries["y"].split(","))
-    for key in ("N", "seed", "depth", "subsample"):
-        if key in entries:
-            kwargs[key.lower() if key != "N" else "n"] = int(entries[key])
+    if "N" in entries:
+        kwargs["n"] = int(entries["N"])
+    if "seed" in entries:
+        kwargs["seed"] = int(entries["seed"])
     if "kappa1" in entries:
         kwargs["kappa1"] = parse_rational(entries["kappa1"])
     if "out" in entries:
@@ -198,7 +188,7 @@ def run_clt(config: ExperimentConfig) -> dict:
 
     h_dot, h_ddot = temporal_moments(series)
     if h_ddot > 0:
-        stats = normalize_and_test(series, h_ddot, s=config.basis.s)
+        stats = normalize_and_test(series, h_ddot, h_dot, s=config.basis.s)
     else:
         # identically-zero discrepancy (e.g. dyadic y = 1/2); no CLT statistics
         stats = TemporalStats(
@@ -211,7 +201,6 @@ def run_clt(config: ExperimentConfig) -> dict:
         lower, upper, kappa3 = theorem_window(
             config.basis, float(config.kappa1), float(condition.kappa2)
         )
-        stats = stats.with_window(lower, upper)
         window = {
             "applicable": True,
             "lower": lower,
@@ -241,7 +230,7 @@ def run_clt(config: ExperimentConfig) -> dict:
         "condition": _condition_dict(condition),
         "window": window,
         "timings": {"series_seconds": t_series, "total_seconds": elapsed},
-        "version": VERSION,
+        "version": __version__,
     }
     if config.out is not None:
         config.out.mkdir(parents=True, exist_ok=True)
@@ -253,17 +242,21 @@ def run_clt(config: ExperimentConfig) -> dict:
 
 
 def write_series_csv(path: Path, series) -> None:
-    vol = series.volume
+    """One row per k: the count and D(k) as a reduced fraction and a float.
+
+    With d = D(k) * den an integer, the reduced fraction is d/g over den/g for
+    g = gcd(d, den), and d / den is the correctly rounded float of D(k).
+    """
+    num, den = series.volume.numerator, series.volume.denominator
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["k", "count", "discrepancy_num", "discrepancy_den", "discrepancy_float"]
         )
-        for k in range(series.n):
-            d = series.counts[k] - 2 * k * vol
-            writer.writerow(
-                [k, series.counts[k], d.numerator, d.denominator, repr(float(d))]
-            )
+        for k, c in enumerate(series.counts.tolist()):
+            d = c * den - 2 * k * num
+            g = gcd(d, den)
+            writer.writerow([k, c, d // g, den // g, repr(d / den)])
 
 
 def read_series_csv(path: Path) -> list[dict]:
@@ -567,7 +560,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(printable, indent=2, sort_keys=True))
         return 0
 
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -187,25 +187,26 @@ def fast_two_sided_discrepancy(
 
 
 class DigitReverser:
-    """Chunked digit reversal for one (base, depth) pair.
+    """Chunked digit reversal of int64 arrays for one (base, depth) pair.
 
     Splits a reversed-digit value into chunks of `c` digits and reverses each
     chunk through a precomputed table; depth is padded up to a multiple of c
     (padding digits are zero, so the reversed value is just scaled by the pad).
     """
 
-    def __init__(self, p: int, depth: int, chunk_digits: int | None = None):
-        if chunk_digits is None:
-            chunk_digits = 1
-            while p ** (chunk_digits + 1) <= 4096:
-                chunk_digits += 1
-        c = chunk_digits
+    def __init__(self, p: int, depth: int):
+        c = 1
+        while p ** (c + 1) <= 4096:
+            c += 1
         n_chunks = -(-depth // c)
-        self.p = p
-        self.depth = depth
         self.padded_depth = n_chunks * c
+        if p**self.padded_depth >= 2**63:
+            raise ValueError(
+                f"base {p} depth {depth} (padded to {self.padded_depth}) "
+                "does not fit in int64"
+            )
         self.chunk_mod = p**c
-        table = np.array(
+        self.table = np.array(
             [digit_reverse(v, p, c) for v in range(self.chunk_mod)], dtype=np.int64
         )
         # weight of chunk t: reversed chunk lands at digit offset padded - c*(t+1)
@@ -213,96 +214,62 @@ class DigitReverser:
         self.weights = [
             p ** (self.padded_depth - c * (t + 1)) for t in range(n_chunks)
         ]
-        self.table = table
-
-    def reverse(self, v: int) -> int:
-        """Reversed-digit value at the padded depth."""
-        out = 0
-        for div, w in zip(self.divisors, self.weights):
-            out += int(self.table[(v // div) % self.chunk_mod]) * w
-        return out
 
     def reverse_array(self, v: np.ndarray) -> np.ndarray:
+        """Reversed-digit values at the padded depth."""
         out = np.zeros_like(v)
         for div, w in zip(self.divisors, self.weights):
             out += self.table[(v // div) % self.chunk_mod] * w
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscrepancySeries:
-    """D(k) for k = 0 .. N-1, stored as integer counts plus the exact volume.
+    """D(k) for k = 0 .. N-1, stored as int64 counts plus the exact volume.
 
     D(k) = counts[k] - 2k * volume; counts[k] is the number of window points
     inside the box, so the rational value is reconstructed exactly on read.
+    Exact arithmetic takes the counts as Python ints (`int(counts[k])`,
+    `counts.tolist()`): an np.int64 times a large numerator wraps silently.
     """
 
     n: int
-    counts: tuple[int, ...]
+    counts: np.ndarray
     volume: Fraction
 
+    def __post_init__(self):
+        object.__setattr__(self, "counts", np.asarray(self.counts, dtype=np.int64))
+
     def value(self, k: int) -> Fraction:
-        return self.counts[k] - 2 * k * self.volume
+        return int(self.counts[k]) - 2 * k * self.volume
 
     def values(self) -> list[Fraction]:
         return [self.value(k) for k in range(self.n)]
 
     def float_values(self) -> np.ndarray:
         num, den = self.volume.numerator, self.volume.denominator
-        counts = np.array(self.counts, dtype=np.float64)
         k = np.arange(self.n, dtype=np.float64)
-        return counts - 2.0 * k * (num / den)
+        return self.counts.astype(np.float64) - 2.0 * k * (num / den)
 
 
 def _membership_flags(x: DigitPoint, box: BoxTarget, n: int) -> np.ndarray:
     """flags[k] = (points joined at window size k+1 inside the box), summed.
 
     Entry k counts how many of the two new points jump(x, k) and
-    jump(x, -k-1) lie in the box (0, 1, or 2).
+    jump(x, -k-1) lie in the box (0, 1, or 2).  At the padded depth D a
+    coordinate is rev / p**D, and rev / p**D < num / den exactly when
+    rev < ceil(num * p**D / den); that threshold is at most p**D, so the
+    comparison stays in int64 whatever the size of den.
     """
-    s = x.basis.s
+    ks = np.arange(n, dtype=np.int64)
     fwd = np.ones(n, dtype=bool)
     bwd = np.ones(n, dtype=bool)
-    use_numpy = True
-    for i in range(s):
-        p = x.basis.primes[i]
-        rev = DigitReverser(p, x.depths[i])
-        y = box.y[i]
-        rhs = y.numerator * p**rev.padded_depth
-        den = y.denominator
-        max_rev = p**rev.padded_depth - 1
-        if max_rev * den >= 2**62 or rhs >= 2**62 or x.values[i] + n >= 2**62:
-            use_numpy = False
-            break
-    if use_numpy:
-        ks = np.arange(n, dtype=np.int64)
-        for i in range(s):
-            p = x.basis.primes[i]
-            rev = DigitReverser(p, x.depths[i])
-            y = box.y[i]
-            rhs = y.numerator * p**rev.padded_depth
-            den = y.denominator
-            fwd &= rev.reverse_array(x.values[i] + ks) * den < rhs
-            bwd &= rev.reverse_array(x.values[i] - 1 - ks) * den < rhs
-        return fwd.astype(np.int64) + bwd.astype(np.int64)
-    # big-integer fallback, identical semantics
-    flags = np.zeros(n, dtype=np.int64)
-    revs = [DigitReverser(p, d) for p, d in zip(x.basis.primes, x.depths)]
-    rhss = [
-        y.numerator * p**rev.padded_depth
-        for y, p, rev in zip(box.y, x.basis.primes, revs)
-    ]
-    dens = [y.denominator for y in box.y]
-    for k in range(n):
-        f = all(
-            revs[i].reverse(x.values[i] + k) * dens[i] < rhss[i] for i in range(s)
-        )
-        b = all(
-            revs[i].reverse(x.values[i] - 1 - k) * dens[i] < rhss[i]
-            for i in range(s)
-        )
-        flags[k] = int(f) + int(b)
-    return flags
+    for p, depth, v, y in zip(x.basis.primes, x.depths, x.values, box.y):
+        rev = DigitReverser(p, depth)
+        threshold = -(-y.numerator * p**rev.padded_depth // y.denominator)
+        fwd &= rev.reverse_array(v + ks) < threshold
+        bwd &= rev.reverse_array(v - 1 - ks) < threshold
+    return fwd.astype(np.int64) + bwd.astype(np.int64)
 
 
 def discrepancy_series(x: DigitPoint, box: BoxTarget, n: int) -> DiscrepancySeries:
@@ -317,4 +284,4 @@ def discrepancy_series(x: DigitPoint, box: BoxTarget, n: int) -> DiscrepancySeri
         raise GuardExhausted(f"N={n} exceeds guard {x.guard}")
     flags = _membership_flags(x, box, n)
     counts = np.concatenate(([0], np.cumsum(flags[: n - 1])))
-    return DiscrepancySeries(n, tuple(int(c) for c in counts), box.volume)
+    return DiscrepancySeries(n, counts, box.volume)

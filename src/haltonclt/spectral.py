@@ -15,7 +15,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from itertools import product
-from math import pi, prod, sin
+from math import pi, sin
 
 from .discrepancy import BoxTarget, CrtFrame, v_ryb
 from .kernel import PrimeBasis, count_residue_in_range, crt_inverses

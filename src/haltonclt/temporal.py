@@ -7,7 +7,7 @@ representation, converted to floating point once at the end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import log2, pi, sqrt
 
@@ -51,11 +51,6 @@ class TemporalStats:
     skewness: float
     excess_kurtosis: float
     scaled_rms: float
-    window_lower: float | None = None
-    window_upper: float | None = None
-
-    def with_window(self, lower: float, upper: float) -> "TemporalStats":
-        return replace(self, window_lower=lower, window_upper=upper)
 
 
 @dataclass(frozen=True)
@@ -75,7 +70,7 @@ def exact_moments(series: DiscrepancySeries) -> tuple[Fraction, Fraction]:
     n = series.n
     s1 = 0
     s2 = 0
-    for k, c in enumerate(series.counts):
+    for k, c in enumerate(series.counts.tolist()):
         d_scaled = c * den - 2 * k * num  # D(k) * den
         s1 += d_scaled
         s2 += d_scaled * d_scaled
@@ -103,9 +98,12 @@ def ks_normal(samples: np.ndarray) -> float:
 
 
 def normalize_and_test(
-    series: DiscrepancySeries, h_ddot: float, s: int = 1
+    series: DiscrepancySeries, h_ddot: float, h_dot: Fraction, s: int = 1
 ) -> TemporalStats:
-    """Normalize D(k) by the temporal RMS and compare to the standard normal."""
+    """Normalize D(k) by the temporal RMS and compare to the standard normal.
+
+    `h_dot` and `h_ddot` are the series' `temporal_moments`, taken by the caller.
+    """
     if h_ddot <= 0:
         raise ValueError("degenerate normalizer")
     z = series.float_values() / h_ddot
@@ -114,10 +112,9 @@ def normalize_and_test(
     sd = sqrt(var) if var > 0 else 1.0
     skew = float(((z - mean) ** 3).mean()) / sd**3
     kurt = float(((z - mean) ** 4).mean()) / sd**4 - 3.0
-    h_dot_exact, _ = temporal_moments(series)
     return TemporalStats(
         n=series.n,
-        h_dot=float(h_dot_exact),
+        h_dot=float(h_dot),
         h_ddot=h_ddot,
         ks_distance=ks_normal(z),
         mean=mean,
@@ -158,18 +155,21 @@ def condition_check(box: BoxTarget, kappa1: Fraction) -> ConditionReport:
                 hits += 1
         densities.append(Fraction(hits, b))
     kappa2 = min(densities)
-    s = box.basis.s
-    p0 = box.basis.p0
-    kappa3 = (
-        pi**-2 * float(p0) ** (-6 - s) * 2.0**-s * float(kappa1) ** (2 * s)
-        * float(kappa2) ** s
-    )
     return ConditionReport(
         kappa1=kappa1,
         densities=tuple(densities),
         kappa2=kappa2,
-        kappa3=kappa3,
+        kappa3=kappa3(box.basis, kappa1, kappa2),
         feasible=kappa2 > 0,
+    )
+
+
+def kappa3(basis: PrimeBasis, kappa1: float, kappa2: float) -> float:
+    """kappa3 = pi^-2 p0^(-6-s) 2^-s kappa1^(2s) kappa2^s, in floating point."""
+    s = basis.s
+    return (
+        pi**-2 * float(basis.p0) ** (-6 - s) * 2.0**-s * float(kappa1) ** (2 * s)
+        * float(kappa2) ** s
     )
 
 
@@ -184,8 +184,7 @@ def theorem_window(
     p0 = float(basis.p0)
     lower = (1 / pi) * p0 ** (-4 - s / 2) * 2 ** (-s / 2) * kappa1**s * kappa2 ** (s / 2)
     upper = 7 * p0 ** (1 + s / 2)
-    kappa3 = pi**-2 * p0 ** (-6 - s) * 2.0**-s * kappa1 ** (2 * s) * kappa2**s
-    return lower, upper, kappa3
+    return lower, upper, kappa3(basis, kappa1, kappa2)
 
 
 def variance_growth_fit(points: list[tuple[int, float]]) -> float:

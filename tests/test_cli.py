@@ -201,6 +201,18 @@ def test_main_config_error_exit_code(capsys):
     assert main(["clt", "--primes", "2", "--y", "3/2"]) == 2
 
 
+def test_main_zero_denominator_exit_code(capsys):
+    assert main(["clt", "--primes", "2", "--y", "1/0"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_main_histogram_missing_dir_exit_code(tmp_path, capsys):
+    assert main(["histogram", "--out", str(tmp_path / "missing")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_main_discrepancy(tmp_path):
     out = tmp_path / "d"
     rc = main(

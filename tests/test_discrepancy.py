@@ -183,7 +183,8 @@ def test_fast_precondition_errors():
 
 
 def test_bigint_fallback_matches_numpy_path():
-    # a denominator near 2^70 forces the exact big-integer path
+    # a denominator near 2^70 still compares in int64 through the threshold
+    # ceil(num * p^D / den), which is at most p^D
     basis = PrimeBasis((2,))
     big = 2**70 + 1
     y_small = (F(1, 3),)
@@ -194,9 +195,22 @@ def test_bigint_fallback_matches_numpy_path():
     s_small = discrepancy_series(x, box_small, 32)
     s_big = discrepancy_series(x, box_big, 32)
     # corners differ by < 2^-68, far below the 2^-8 resolution of the points
-    assert s_small.counts == s_big.counts
+    assert s_small.counts.tolist() == s_big.counts.tolist()
     for k in (0, 5, 31):
         assert s_big.value(k) == two_sided_discrepancy_naive(x, box_big, k)
+
+
+def test_series_depth_limit_is_int64():
+    box = BoxTarget.create(B2, (F(1, 3),))
+    # depth 60 pads to 60 binary digits, 2^60 < 2^63: computed in int64
+    x = DigitPoint(B2, (60,), (2**59 + 12345,), guard=16)
+    series = discrepancy_series(x, box, 16)
+    for k in (0, 7, 15):
+        assert series.value(k) == two_sided_discrepancy_naive(x, box, k)
+    # depth 61 pads to 72 digits (chunks of 12), and 2^72 >= 2^63
+    x = DigitPoint(B2, (61,), (2**59 + 12345,), guard=16)
+    with pytest.raises(ValueError):
+        discrepancy_series(x, box, 16)
 
 
 def test_series_value_representation():

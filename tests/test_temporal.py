@@ -93,8 +93,8 @@ def test_normalized_second_moment_is_one():
     rng = np.random.default_rng(13)
     counts = tuple(int(c) for c in rng.integers(0, 3, size=256).cumsum())
     s = DiscrepancySeries(256, counts, F(1, 3))
-    _, h_ddot = temporal_moments(s)
-    stats = normalize_and_test(s, h_ddot, s=1)
+    h_dot, h_ddot = temporal_moments(s)
+    stats = normalize_and_test(s, h_ddot, h_dot, s=1)
     z = s.float_values() / h_ddot
     assert np.mean(z**2) == pytest.approx(1.0, abs=1e-9)
     assert stats.variance + stats.mean**2 == pytest.approx(1.0, abs=1e-9)
@@ -103,7 +103,7 @@ def test_normalized_second_moment_is_one():
 def test_normalize_rejects_degenerate():
     s = DiscrepancySeries(2, (0, 0), F(0))
     with pytest.raises(ValueError):
-        normalize_and_test(s, 0.0)
+        normalize_and_test(s, 0.0, F(0))
 
 
 def test_condition_check_one_third():
