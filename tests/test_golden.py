@@ -1,10 +1,15 @@
-"""Byte-for-byte pins of the clt outputs.
+"""Byte-for-byte pins of the clt outputs and the verify reports.
 
-Each case runs ``run_clt`` with an output directory and compares two sha256
-digests: record.json minus ``timings`` (serialized as ``run_clt`` writes it)
-and series.csv.  The digests were taken before the membership, counts and CSV
-code was consolidated, so any change of output, down to the last float digit,
-fails here.
+Each clt case runs ``run_clt`` with an output directory and compares two
+sha256 digests: record.json minus ``timings`` (serialized as ``run_clt``
+writes it) and series.csv.  The digests were taken before the membership,
+counts and CSV code was consolidated, so any change of output, down to the
+last float digit, fails here.
+
+Each verify case compares the sha256 of the ``verify_<suite>.txt`` report
+that ``run_verify`` writes.  Those digests were taken before the point
+sampler and the CRT combination were consolidated; a report line holds every
+case's inputs and results, so a change of draw order shows here too.
 """
 
 import hashlib
@@ -13,7 +18,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from haltonclt.cli import ExperimentConfig, run_clt
+from haltonclt.cli import ExperimentConfig, run_clt, run_verify
 
 BIG = 2**70 + 1
 
@@ -69,3 +74,26 @@ def test_clt_outputs_match_golden(
     assert sha256((tmp_path / "series.csv").read_bytes()) == series_digest
     if record["window"]["applicable"]:
         assert record["window"]["kappa3"] == record["condition"]["kappa3"]
+
+
+# (suite, seed, verify_<suite>.txt digest)
+VERIFY_GOLDEN = [
+    ("fourier-cells", 1, "25fa58eaae2c3504b038a7e6f042dedaf35986dbb6bbaa207646461c759ad498"),
+    ("orthogonality", 1, "352c35a092ae827dfcd4cffb7c6d11c841d2e53af0301eb3612f59e1ec21aa81"),
+    ("fast-vs-naive", 1, "79cd073055ecbd8f5a6002f54ee2c1989474c45f2b843a645e566f3e6506f137"),
+    ("halton", 1, "10b22217df70da34a6c617c7889b0307ab3fc62974168468f206514357c33e70"),
+    ("roundtrip", 1, "d9229edb090c39da4608d18ec1b78af6b72106064f62240a5762b33a46b4fcff"),
+    ("fourier-cells", 2, "d4569b6be1611a01f7485a7b43c41a62ff548150d571954823ee8ad79be14edf"),
+    ("orthogonality", 2, "587b59d5b985b24e637fca95868eb41a0ecc8c4f8271e15999245ba298716eea"),
+    ("fast-vs-naive", 2, "f7c6118424e75fe6cd963f48266f67e0d811cdcd53b0bfb68c081db31f8020d4"),
+    ("halton", 2, "10b22217df70da34a6c617c7889b0307ab3fc62974168468f206514357c33e70"),
+    ("roundtrip", 2, "d9229edb090c39da4608d18ec1b78af6b72106064f62240a5762b33a46b4fcff"),
+]
+
+
+@pytest.mark.parametrize(
+    "suite,seed,digest", VERIFY_GOLDEN, ids=[f"{g[0]}-seed{g[1]}" for g in VERIFY_GOLDEN]
+)
+def test_verify_report_matches_golden(tmp_path, capsys, suite, seed, digest):
+    assert run_verify(suite, seed, tmp_path) == 0
+    assert sha256((tmp_path / f"verify_{suite}.txt").read_bytes()) == digest
