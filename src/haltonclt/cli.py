@@ -93,61 +93,65 @@ def parse_config_file(path: Path) -> dict[str, str]:
     return entries
 
 
+# config file key -> (ExperimentConfig field, parser of the value text)
+CONFIG_KEYS = {
+    "primes": ("primes", lambda t: tuple(int(v) for v in t.split(","))),
+    "y": ("y", lambda t: tuple(parse_rational(v) for v in t.split(","))),
+    "N": ("n", int),
+    "seed": ("seed", int),
+    "kappa1": ("kappa1", parse_rational),
+    "out": ("out", Path),
+    "require_feasible": (
+        "require_feasible", lambda t: t.lower() in ("1", "true", "yes")
+    ),
+}
+
+
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
     entries: dict[str, str] = {}
     if getattr(args, "config", None):
         entries = parse_config_file(Path(args.config))
-    kwargs = {}
-    if "primes" in entries:
-        kwargs["primes"] = tuple(int(t) for t in entries["primes"].split(","))
-    if "y" in entries:
-        kwargs["y"] = tuple(parse_rational(t) for t in entries["y"].split(","))
-    if "N" in entries:
-        kwargs["n"] = int(entries["N"])
-    if "seed" in entries:
-        kwargs["seed"] = int(entries["seed"])
-    if "kappa1" in entries:
-        kwargs["kappa1"] = parse_rational(entries["kappa1"])
-    if "out" in entries:
-        kwargs["out"] = Path(entries["out"])
-    if "require_feasible" in entries:
-        kwargs["require_feasible"] = entries["require_feasible"].lower() in (
-            "1", "true", "yes",
-        )
     # flags override the file
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    if getattr(args, "N", None) is not None:
-        kwargs["n"] = args.N
-    if getattr(args, "out", None) is not None:
-        kwargs["out"] = Path(args.out)
-    if getattr(args, "primes", None):
-        kwargs["primes"] = tuple(int(t) for t in args.primes.split(","))
-    if getattr(args, "y", None):
-        kwargs["y"] = tuple(parse_rational(t) for t in args.y.split(","))
+    for key in ("primes", "y", "N", "seed", "out"):
+        flag = getattr(args, key, None)
+        if flag is not None:
+            entries[key] = str(flag)
+    kwargs = {}
+    for key, text in entries.items():
+        if key not in CONFIG_KEYS:
+            raise ConfigError(
+                f"unknown config key {key!r}; known keys: {', '.join(CONFIG_KEYS)}"
+            )
+        field, parse = CONFIG_KEYS[key]
+        kwargs[field] = parse(text)
     return ExperimentConfig(**kwargs)
 
 
 def sample_point(config: ExperimentConfig) -> DigitPoint:
     """Seed-deterministic initial point with an N-step guard window.
 
-    Per coordinate (in basis order): depth D_i is minimal with p_i**D_i >= 4N,
-    and V_i is uniform on [N, p_i**D_i - N) by top-bits rejection from the
-    counter-based generator.  The excluded range keeps every |k| <= N jump
-    carry-free.
+    `DigitPoint.sample` with guard N, drawn from the counter-based generator
+    seeded with the config's seed; every |k| <= N jump is carry-free.
     """
-    rng = CounterRng(config.seed)
-    n = config.n
-    depths = []
-    values = []
-    for p in config.basis.primes:
-        d = 1
-        while p**d < 4 * n:
-            d += 1
-        span = p**d - 2 * n
-        values.append(n + rng.below(span))
-        depths.append(d)
-    return DigitPoint(config.basis, tuple(depths), tuple(values), guard=n)
+    return DigitPoint.sample(config.basis, config.n, CounterRng(config.seed))
+
+
+def random_multi_index(
+    rng: CounterRng, basis: PrimeBasis, top: int, cap: int
+) -> tuple[int, ...]:
+    """r uniform on [1, top]^s conditioned on P_r <= cap, by rejection."""
+    while True:
+        r = tuple(1 + rng.below(top) for _ in basis.primes)
+        if basis.modulus(r) <= cap:
+            return r
+
+
+def random_frequency(rng: CounterRng, p_r: int) -> int:
+    """m uniform on the nonzero part of the symmetric residue window of P_r."""
+    m = 0
+    while m == 0:
+        m = rng.below(p_r) - (p_r - 1) // 2
+    return m
 
 
 def _rational_field(x: Fraction) -> dict:
@@ -297,14 +301,7 @@ def _verify_fast_vs_naive(rng: CounterRng, report: list) -> bool:
         for _ in range(20):
             depth_m = 1 + rng.below(6)
             L = 1 + rng.below(256)
-            depths, values = [], []
-            for p in basis.primes:
-                d = max(depth_m, 1)
-                while p**d < 4 * L:
-                    d += 1
-                depths.append(d)
-                values.append(L + rng.below(p**d - 2 * L))
-            x = DigitPoint(basis, tuple(depths), tuple(values), guard=L)
+            x = DigitPoint.sample(basis, L, rng, [depth_m] * basis.s)
             y = tuple(
                 Fraction(1 + rng.below(98), 100) for _ in primes
             )
@@ -323,19 +320,9 @@ def _verify_fast_vs_naive(rng: CounterRng, report: list) -> bool:
 
 
 def _random_frame(rng: CounterRng, basis: PrimeBasis, cap: int):
-    while True:
-        r = tuple(1 + rng.below(6) for _ in basis.primes)
-        if basis.modulus(r) <= cap:
-            break
+    r = random_multi_index(rng, basis, 6, cap)
     L = 1 + rng.below(512)
-    depths, values = [], []
-    for p, ri in zip(basis.primes, r):
-        d = ri
-        while p**d < 4 * L:
-            d += 1
-        depths.append(d)
-        values.append(L + rng.below(p**d - 2 * L))
-    x = DigitPoint(basis, tuple(depths), tuple(values), guard=L)
+    x = DigitPoint.sample(basis, L, rng, r)
     y = tuple(Fraction(1 + rng.below(98), 100) for _ in basis.primes)
     box = BoxTarget.create(basis, y)
     return crt_frame(basis, r, x, box), box, L
@@ -368,20 +355,8 @@ def _verify_orthogonality(rng: CounterRng, report: list) -> bool:
         )
         for mu in (2, 3, 4):
             for _ in range(8):
-                r_list = []
-                for _ in range(mu):
-                    while True:
-                        r = tuple(1 + rng.below(4) for _ in primes)
-                        if basis.modulus(r) <= 256:
-                            r_list.append(r)
-                            break
-                m_list = []
-                for r in r_list:
-                    p_r = basis.modulus(r)
-                    m = 0
-                    while m == 0:
-                        m = rng.below(p_r) - (p_r - 1) // 2
-                    m_list.append(m)
+                r_list = [random_multi_index(rng, basis, 4, 256) for _ in range(mu)]
+                m_list = [random_frequency(rng, basis.modulus(r)) for r in r_list]
                 expect = spectral.character_expectation_bruteforce(
                     basis, r_list, m_list, box
                 )
@@ -521,10 +496,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "histogram":
             outdir = Path(args.out)
             record = json.loads((outdir / "record.json").read_text())
-            rows = read_series_csv(outdir / "series.csv")
             h_ddot = record["stats"]["H_ddot"]
-            samples = np.array(
-                [float(r["discrepancy_float"]) for r in rows]
+            if not h_ddot > 0:
+                raise ValueError(
+                    f"H_ddot = {h_ddot}: the series is identically zero, "
+                    "so D / H_ddot has no histogram"
+                )
+            # column 4 of series.csv is discrepancy_float
+            samples = np.loadtxt(
+                outdir / "series.csv", delimiter=",", skiprows=1, usecols=4
             ) / h_ddot
             hist = emit_histogram(samples, args.bins)
             with open(outdir / "histogram.csv", "w", newline="") as fh:

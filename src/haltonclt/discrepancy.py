@@ -31,6 +31,7 @@ from .kernel import (
     digit_expansion,
     digit_reverse,
     truncate,
+    v_value,
 )
 from .odometer import DigitPoint, GuardExhausted, jump
 
@@ -104,14 +105,19 @@ class CrtFrame:
     v_rx: int
     v_ry: int
 
-    def cofactor(self, i: int) -> int:
-        return self.p_r // self.basis.primes[i] ** self.r[i]
 
+def crt_combine(
+    basis: PrimeBasis, r: Sequence[int], m_inv: Sequence[int], residues: Sequence[int]
+) -> int:
+    """The residue mod P_r congruent to residues[i] mod p_i**r_i for every i.
 
-def _combine(basis: PrimeBasis, r: Sequence[int], m_inv, residues, p_r: int) -> int:
+    sum_i M_i * (P_r / p_i**r_i) * residues[i] mod P_r, with M_i the CRT
+    inverses of `crt_inverses`.
+    """
+    p_r = basis.modulus(r)
     total = 0
-    for i, (p, ri) in enumerate(zip(basis.primes, r)):
-        total += m_inv[i] * (p_r // p**ri) * residues[i]
+    for p, ri, mi, v in zip(basis.primes, r, m_inv, residues):
+        total += mi * (p_r // p**ri) * v
     return total % p_r
 
 
@@ -124,35 +130,32 @@ def crt_frame(
         raise ValueError("all r_i must be >= 1")
     if any(ri > d for ri, d in zip(r, x.depths)):
         raise ValueError(f"r={r} exceeds stored depths {x.depths}")
-    p_r = basis.modulus(r)
     m_inv = crt_inverses(basis, r)
     v_x = [x.v_mod(i, ri) for i, ri in enumerate(r)]
-    v_y = []
-    for i, (p, ri) in enumerate(zip(basis.primes, r)):
-        v = 0
-        for j in range(1, ri + 1):
-            v += box.digit(i, j) * p ** (j - 1)
-        v_y.append(v)
+    v_y = [v_value(ex, p, ri) for ex, p, ri in zip(box.expansions, basis.primes, r)]
     return CrtFrame(
         basis,
         r,
-        p_r,
+        basis.modulus(r),
         m_inv,
-        _combine(basis, r, m_inv, v_x, p_r),
-        _combine(basis, r, m_inv, v_y, p_r),
+        crt_combine(basis, r, m_inv, v_x),
+        crt_combine(basis, r, m_inv, v_y),
     )
 
 
 def v_ryb(frame: CrtFrame, box: BoxTarget, b: Sequence[int]) -> int:
-    """V_{r,y,b}: y-digits below depth r_i plus offset digit b_i at depth r_i."""
-    basis = frame.basis
-    residues = []
-    for i, (p, ri) in enumerate(zip(basis.primes, frame.r)):
-        v = b[i] * p ** (ri - 1)
-        for j in range(1, ri):
-            v += box.digit(i, j) * p ** (j - 1)
-        residues.append(v)
-    return _combine(basis, frame.r, frame.m_inv, residues, frame.p_r)
+    """V_{r,y,b}: y-digits below depth r_i plus offset digit b_i at depth r_i.
+
+    That is V_{r,y} with digit r_i of each coordinate moved from y_{i,r_i} to
+    b_i, so by linearity of the combination it is V_{r,y} plus the combined
+    offsets (b_i - y_{i,r_i}) * p_i**(r_i - 1).
+    """
+    offsets = [
+        (bi - box.digit(i, ri)) * p ** (ri - 1)
+        for i, (p, ri, bi) in enumerate(zip(frame.basis.primes, frame.r, b))
+    ]
+    shift = crt_combine(frame.basis, frame.r, frame.m_inv, offsets)
+    return (frame.v_ry + shift) % frame.p_r
 
 
 def fast_two_sided_discrepancy(

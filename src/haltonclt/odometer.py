@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .kernel import PrimeBasis, digit_reverse, v_value
+from .kernel import PrimeBasis, digit_reverse
 
 
 class GuardExhausted(Exception):
@@ -46,18 +46,28 @@ class DigitPoint:
                 )
 
     @classmethod
-    def from_rationals(
+    def sample(
         cls,
         basis: PrimeBasis,
-        coords: Sequence[Fraction],
-        depths: Sequence[int],
         guard: int,
+        rng,
+        min_depths: Sequence[int] | None = None,
     ) -> "DigitPoint":
-        values = tuple(
-            v_value(Fraction(c), p, d)
-            for c, p, d in zip(coords, basis.primes, depths)
-        )
-        return cls(basis, tuple(depths), values, guard)
+        """A uniform point with a carry-free window of `guard` steps each way.
+
+        Per coordinate (in basis order): depth D_i is the least D_i >=
+        min_depths[i] (default 1) with p_i**D_i >= 4 * guard, and V_i =
+        guard + rng.below(p_i**D_i - 2 * guard), uniform on
+        [guard, p_i**D_i - guard).  One `below` call per coordinate.
+        """
+        depths, values = [], []
+        for i, p in enumerate(basis.primes):
+            d = 1 if min_depths is None else min_depths[i]
+            while p**d < 4 * guard:
+                d += 1
+            depths.append(d)
+            values.append(guard + rng.below(p**d - 2 * guard))
+        return cls(basis, tuple(depths), tuple(values), guard)
 
     def coordinate(self, i: int) -> Fraction:
         p = self.basis.primes[i]

@@ -17,8 +17,8 @@ from fractions import Fraction
 from itertools import product
 from math import pi, sin
 
-from .discrepancy import BoxTarget, CrtFrame, v_ryb
-from .kernel import PrimeBasis, count_residue_in_range, crt_inverses
+from .discrepancy import BoxTarget, CrtFrame, crt_combine, v_ryb
+from .kernel import PrimeBasis, count_residue_in_range, crt_inverses, v_value
 
 # enumeration caps; hard preconditions, never silent truncation
 MAX_FREQUENCIES = 2**20
@@ -134,24 +134,27 @@ def character_expectation_bruteforce(
     if p_r0 > MAX_DIGIT_PATTERNS:
         raise ValueError(f"{p_r0} digit patterns exceed enumeration cap")
 
-    frames = []
+    # a frame's phase depends on x only through V_i mod p_i**r_i
+    tables = []
     for r, m in zip(r_list, m_list):
         p_r = basis.modulus(r)
         m_inv = crt_inverses(basis, r)
-        v_y = 0
-        for i, (p, ri) in enumerate(zip(basis.primes, r)):
-            vi = sum(box.digit(i, j) * p ** (j - 1) for j in range(1, ri + 1))
-            v_y += m_inv[i] * (p_r // p**ri) * vi
-        frames.append((r, m, p_r, m_inv, v_y % p_r))
+        v_y = crt_combine(
+            basis, r, m_inv,
+            [v_value(ex, p, ri) for ex, p, ri in zip(box.expansions, basis.primes, r)],
+        )
+        moduli = tuple(p**ri for p, ri in zip(basis.primes, r))
+        phase = {
+            v: Fraction(m * ((crt_combine(basis, r, m_inv, v) - v_y) % p_r), p_r)
+            for v in product(*(range(q) for q in moduli))
+        }
+        tables.append((moduli, phase))
 
     per_coord = [basis.primes[i] ** r0[i] for i in range(s)]
     total = complex(0)
     for vs in product(*(range(c) for c in per_coord)):
         omega = Fraction(0)
-        for r, m, p_r, m_inv, v_y in frames:
-            v_x = 0
-            for i, (p, ri) in enumerate(zip(basis.primes, r)):
-                v_x += m_inv[i] * (p_r // p**ri) * (vs[i] % p**ri)
-            omega += Fraction(m * ((v_x - v_y) % p_r), p_r)
+        for moduli, phase in tables:
+            omega += phase[tuple(v % q for v, q in zip(vs, moduli))]
         total += e(omega)
     return total / p_r0

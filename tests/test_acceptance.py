@@ -31,7 +31,13 @@ from haltonclt import (
     condition_check,
     two_sided_discrepancy_naive,
 )
-from haltonclt.cli import ExperimentConfig, run_clt, sample_point
+from haltonclt.cli import (
+    ExperimentConfig,
+    random_frequency,
+    random_multi_index,
+    run_clt,
+    sample_point,
+)
 from haltonclt.rng import CounterRng
 from haltonclt.spectral import (
     cell_sum_direct,
@@ -57,17 +63,6 @@ TWO_D = ExperimentConfig(primes=(2, 3), y=(F(1, 5), F(2, 5)), n=2**18, seed=7)
 def report(num, ok, detail):
     print(f"ACCEPTANCE {num}: {'PASS' if ok else 'FAIL'} — {detail}")
     assert ok, detail
-
-
-def guarded_point(rng, basis, L, min_depth=1):
-    depths, values = [], []
-    for p in basis.primes:
-        d = min_depth
-        while p**d < 4 * L:
-            d += 1
-        depths.append(d)
-        values.append(L + rng.below(p**d - 2 * L))
-    return DigitPoint(basis, tuple(depths), tuple(values), guard=L)
 
 
 def random_corner(rng, s):
@@ -169,7 +164,7 @@ def test_criterion_1_oracle_equivalence():
         for _ in range(100):
             m = 1 + rng.below(12)
             L = 1 + rng.below(2048)
-            x = guarded_point(rng, basis, L, min_depth=m)
+            x = DigitPoint.sample(basis, L, rng, [m] * basis.s)
             box = BoxTarget.create(basis, random_corner(rng, basis.s))
             fast = fast_two_sided_discrepancy(x, box, L, m)
             naive = two_sided_discrepancy_naive(x, box, L, corner=box.truncated(m))
@@ -190,12 +185,9 @@ def test_criterion_2_cell_sum_fourier_identity():
     for primes in ((2,), (2, 3), (3, 5)):
         basis = PrimeBasis(primes)
         for _ in range(17):
-            while True:
-                r = tuple(1 + rng.below(6) for _ in primes)
-                if basis.modulus(r) <= 4096:
-                    break
+            r = random_multi_index(rng, basis, 6, 4096)
             L = 1 + rng.below(10**4)
-            x = guarded_point(rng, basis, L, min_depth=max(r))
+            x = DigitPoint.sample(basis, L, rng, [max(r)] * basis.s)
             box = BoxTarget.create(basis, random_corner(rng, basis.s))
             frame = crt_frame(basis, r, x, box)
             direct = cell_sum_direct(frame, box, L)
@@ -219,16 +211,9 @@ def test_criterion_3_character_orthogonality():
             for trial in range(12):
                 r_list, m_list = [], []
                 for j in range(mu):
-                    while True:
-                        r = tuple(1 + rng.below(4) for _ in primes)
-                        if basis.modulus(r) <= 256:
-                            break
+                    r = random_multi_index(rng, basis, 4, 256)
                     r_list.append(r)
-                    p_r = basis.modulus(r)
-                    m = 0
-                    while m == 0:
-                        m = rng.below(p_r) - (p_r - 1) // 2
-                    m_list.append(m)
+                    m_list.append(random_frequency(rng, basis.modulus(r)))
                 if trial % 3 == 0 and mu == 2:
                     # force a delta = 1 configuration: m2 cancels m1
                     r_list[1] = r_list[0]
@@ -255,10 +240,10 @@ def test_criterion_5_round_trip_and_jump():
     basis = PrimeBasis((2, 3, 5))
     ok = True
     for _ in range(10**4):
-        x = guarded_point(rng, basis, 2)
+        x = DigitPoint.sample(basis, 2, rng)
         ok &= inverse_step(step(x)).values == x.values
         ok &= step(inverse_step(x)).values == x.values
-    x = guarded_point(rng, basis, 64)
+    x = DigitPoint.sample(basis, 64, rng)
     fwd, bwd = x, x
     for k in range(1, 65):
         fwd = step(fwd)
@@ -277,7 +262,7 @@ def test_criterion_6_truncation_bound():
         L = 1 + rng.below(1024)
         # the window holds N = 2L points; depth floor(log2 N) + 1
         m = int(log2(2 * L)) + 1
-        x = guarded_point(rng, basis, L, min_depth=m)
+        x = DigitPoint.sample(basis, L, rng, [m] * basis.s)
         box = BoxTarget.create(basis, random_corner(rng, basis.s))
         diff = abs(
             fast_two_sided_discrepancy(x, box, L, m)

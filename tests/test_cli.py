@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction as F
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,8 @@ from haltonclt.cli import (
     run_verify,
     sample_point,
 )
+from haltonclt.odometer import DigitPoint
+from haltonclt.rng import CounterRng
 
 
 def test_sample_point_deterministic():
@@ -26,13 +29,17 @@ def test_sample_point_deterministic():
 
 
 def test_sample_point_guard_invariant():
+    # sample_point's floor of 1, then per-coordinate floors: 12 and 6 lie above
+    # the least depths 9 and 4 with p**D >= 400 for p = 2 and 5, 1 below 6 for 3
     for seed in range(20):
         cfg = ExperimentConfig(primes=(2, 3, 5), y=(F(1, 3),) * 3, n=100, seed=seed)
-        x = sample_point(cfg)
-        assert x.guard == 100
-        for p, d, v in zip((2, 3, 5), x.depths, x.values):
-            assert p**d >= 4 * 100
-            assert 100 <= v < p**d - 100
+        floored = DigitPoint.sample(cfg.basis, 100, CounterRng(seed), (12, 1, 6))
+        for x, floors in ((sample_point(cfg), (1, 1, 1)), (floored, (12, 1, 6))):
+            assert x.guard == 100
+            for p, d, v, floor in zip((2, 3, 5), x.depths, x.values, floors):
+                assert d == max(floor, next(e for e in count(1) if p**e >= 4 * 100))
+                assert 100 <= v < p**d - 100
+        assert floored.depths == (12, 6, 6)
 
 
 def test_sample_point_seeds_distinct():
@@ -79,6 +86,16 @@ def test_config_file_and_overrides(tmp_path):
     assert cfg.y == (F(1, 5), F(2, 5))
     assert cfg.n == 128
     assert cfg.seed == 11  # flag wins over file
+
+
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    # "n" is not "N", and "depth" is a removed key; neither may be ignored
+    for line in ("n = 64", "depth = 9"):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"primes = 2\ny = 1/3\n{line}\n")
+        assert main(["clt", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: unknown config key")
 
 
 def test_run_clt_smallest_horizon():
@@ -184,6 +201,18 @@ def test_main_clt_and_histogram(tmp_path, capsys):
     lines = (out / "histogram.csv").read_text().splitlines()
     assert lines[0] == "bin_left,bin_right,observed,expected"
     assert len(lines) == 13
+
+
+def test_main_histogram_of_zero_series_exit_code(tmp_path, capsys):
+    # y = 1/2 gives H_ddot = 0, so there is nothing to normalise by
+    out = tmp_path / "run"
+    rc = main(["clt", "--primes", "2", "--y", "1/2", "--N", "64", "--out", str(out)])
+    assert rc == 0
+    capsys.readouterr()
+    assert main(["histogram", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (out / "histogram.csv").exists()
 
 
 def test_main_halton_stdout(capsys):

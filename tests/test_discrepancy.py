@@ -24,14 +24,7 @@ def random_case(rng, primes, max_l=2048, max_depth=12):
     basis = PrimeBasis(primes)
     m = 1 + rng.below(max_depth)
     L = 1 + rng.below(max_l)
-    depths, values = [], []
-    for p in basis.primes:
-        d = m
-        while p**d < 4 * L:
-            d += 1
-        depths.append(d)
-        values.append(L + rng.below(p**d - 2 * L))
-    x = DigitPoint(basis, tuple(depths), tuple(values), guard=L)
+    x = DigitPoint.sample(basis, L, rng, [m] * basis.s)
     y = tuple(F(1 + rng.below(998), 1000) for _ in primes)
     return x, BoxTarget.create(basis, y), L, m
 

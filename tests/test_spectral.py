@@ -5,6 +5,7 @@ from math import sqrt
 
 import pytest
 
+from haltonclt.cli import random_frequency, random_multi_index
 from haltonclt.discrepancy import BoxTarget, crt_frame, fast_two_sided_discrepancy
 from haltonclt.kernel import PrimeBasis
 from haltonclt.odometer import DigitPoint
@@ -60,9 +61,7 @@ def test_phi_bound_random():
     for _ in range(1000):
         p_r = 2 + rng.below(4094)
         L = 1 + rng.below(10**4)
-        m = 0
-        while m == 0:
-            m = rng.below(p_r) - (p_r - 1) // 2
+        m = random_frequency(rng, p_r)
         assert abs(phi_coefficient(p_r, L, m)) <= 1 / max(1, abs(m)) + 1e-12
 
 
@@ -104,19 +103,9 @@ def test_cell_sum_fourier_matches_direct_random():
     for primes in ((2,), (2, 3), (3, 5)):
         basis = PrimeBasis(primes)
         for _ in range(8):
-            while True:
-                r = tuple(1 + rng.below(5) for _ in primes)
-                if basis.modulus(r) <= 4096:
-                    break
+            r = random_multi_index(rng, basis, 5, 4096)
             L = 1 + rng.below(2048)
-            depths, values = [], []
-            for p, ri in zip(primes, r):
-                d = ri
-                while p**d < 4 * L:
-                    d += 1
-                depths.append(d)
-                values.append(L + rng.below(p**d - 2 * L))
-            x = DigitPoint(basis, tuple(depths), tuple(values), L)
+            x = DigitPoint.sample(basis, L, rng, r)
             box = BoxTarget.create(
                 basis, tuple(F(1 + rng.below(98), 100) for _ in primes)
             )
@@ -174,16 +163,9 @@ def test_orthogonality_delta_predicate_matches_bruteforce():
             for _ in range(10):
                 r_list, m_list = [], []
                 for _ in range(mu):
-                    while True:
-                        r = tuple(1 + rng.below(3) for _ in primes)
-                        if basis.modulus(r) <= 256:
-                            break
+                    r = random_multi_index(rng, basis, 3, 256)
                     r_list.append(r)
-                    p_r = basis.modulus(r)
-                    m = 0
-                    while m == 0:
-                        m = rng.below(p_r) - (p_r - 1) // 2
-                    m_list.append(m)
+                    m_list.append(random_frequency(rng, basis.modulus(r)))
                 got = character_expectation_bruteforce(basis, r_list, m_list, box)
                 assert abs(got - orthogonality_delta(basis, r_list, m_list)) <= 1e-10
 
