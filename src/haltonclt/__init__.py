@@ -1,11 +1,10 @@
 """Exact odometer orbits, local discrepancy, and temporal-CLT diagnostics."""
 
 from .kernel import (
-    DigitExpansion,
     PrimeBasis,
     count_residue_in_range,
     crt_inverses,
-    digit_expansion,
+    digit,
     digit_reverse,
     truncate,
     v_value,
@@ -17,7 +16,6 @@ from .odometer import (
     halton,
     inverse_step,
     jump,
-    orbit_slice,
     radical_inverse,
     step,
 )

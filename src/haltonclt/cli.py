@@ -72,12 +72,13 @@ class ExperimentConfig:
         if not 0 < self.kappa1 <= 1:
             raise ConfigError("kappa1 must lie in (0,1]")
         if self.require_feasible:
-            for v, p in zip(self.y, self.primes):
-                if gcd(v.denominator, p) != 1:
-                    raise ConfigError(
-                        f"y={v} is base-{p} rational; the digit condition "
-                        "cannot hold (denominator shares a factor with the base)"
-                    )
+            box = BoxTarget.create(self.basis, self.y)
+            if not condition_check(box, self.kappa1).feasible:
+                corner = ", ".join(format_rational(v) for v in self.y)
+                raise ConfigError(
+                    f"the digit condition fails for y = {corner} at "
+                    f"kappa1 = {format_rational(self.kappa1)} (kappa2 = 0)"
+                )
 
 
 def parse_config_file(path: Path) -> dict[str, str]:
@@ -476,6 +477,8 @@ def main(argv: list[str] | None = None) -> int:
             return run_verify(args.suite, seed=args.seed, out=out)
 
         if args.command == "halton":
+            if args.N < 0:
+                raise ValueError(f"N must be >= 0, got {args.N}")
             basis = PrimeBasis(tuple(int(t) for t in args.primes.split(",")))
             rows = [
                 [k] + [format_rational(c) for c in halton(k, basis)]

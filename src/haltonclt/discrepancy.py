@@ -24,11 +24,10 @@ from typing import Sequence
 import numpy as np
 
 from .kernel import (
-    DigitExpansion,
     PrimeBasis,
     count_residue_in_range,
     crt_inverses,
-    digit_expansion,
+    digit,
     digit_reverse,
     truncate,
     v_value,
@@ -38,11 +37,10 @@ from .odometer import DigitPoint, GuardExhausted, jump
 
 @dataclass(frozen=True)
 class BoxTarget:
-    """The corner y of the box [0,y_1) x ... x [0,y_s), with digit expansions."""
+    """The corner y of the box [0,y_1) x ... x [0,y_s)."""
 
     basis: PrimeBasis
     y: tuple[Fraction, ...]
-    expansions: tuple[DigitExpansion, ...]
 
     @classmethod
     def create(cls, basis: PrimeBasis, y: Sequence[Fraction]) -> "BoxTarget":
@@ -52,15 +50,15 @@ class BoxTarget:
         for v in y:
             if not 0 < v < 1:
                 raise ValueError(f"corner coordinates must lie in (0,1), got {v}")
-        exps = tuple(digit_expansion(v, p) for v, p in zip(y, basis.primes))
-        return cls(basis, y, exps)
+        return cls(basis, y)
 
     @property
     def volume(self) -> Fraction:
         return prod(self.y, start=Fraction(1))
 
     def digit(self, i: int, j: int) -> int:
-        return self.expansions[i].digit_at(j)
+        """Digit j (1-indexed) of y_i in base p_i."""
+        return digit(self.y[i], self.basis.primes[i], j)
 
     def truncated(self, m: int) -> tuple[Fraction, ...]:
         """Coordinatewise truncation [y_i]_m."""
@@ -132,7 +130,7 @@ def crt_frame(
         raise ValueError(f"r={r} exceeds stored depths {x.depths}")
     m_inv = crt_inverses(basis, r)
     v_x = [x.v_mod(i, ri) for i, ri in enumerate(r)]
-    v_y = [v_value(ex, p, ri) for ex, p, ri in zip(box.expansions, basis.primes, r)]
+    v_y = [v_value(y, p, ri) for y, p, ri in zip(box.y, basis.primes, r)]
     return CrtFrame(
         basis,
         r,

@@ -59,78 +59,6 @@ class PrimeBasis:
         return prod(p ** ri for p, ri in zip(self.primes, r))
 
 
-@dataclass(frozen=True)
-class DigitExpansion:
-    """Eventually periodic base-q expansion of a rational in [0,1).
-
-    ``preperiod + period * inf`` read left to right are the digits after the
-    radix point.  Terminating values carry the single-digit period (0,).
-    """
-
-    base: int
-    preperiod: tuple[int, ...]
-    period: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.base < 2:
-            raise ValueError("base must be >= 2")
-        if not self.period:
-            raise ValueError("period must be nonempty (use (0,) for terminating)")
-        for d in self.preperiod + self.period:
-            if not 0 <= d < self.base:
-                raise ValueError(f"digit {d} out of range for base {self.base}")
-
-    def digit_at(self, j: int) -> int:
-        """The j-th digit (1-indexed), reading into the period cyclically."""
-        if j < 1:
-            raise ValueError("digit positions are 1-indexed")
-        if j <= len(self.preperiod):
-            return self.preperiod[j - 1]
-        return self.period[(j - len(self.preperiod) - 1) % len(self.period)]
-
-    def digits(self, r: int) -> list[int]:
-        """First r digits."""
-        return [self.digit_at(j) for j in range(1, r + 1)]
-
-    def value(self) -> Fraction:
-        """Exact rational the expansion represents."""
-        q = self.base
-        a = len(self.preperiod)
-        b = len(self.period)
-        head = 0
-        for d in self.preperiod:
-            head = head * q + d
-        tail = 0
-        for d in self.period:
-            tail = tail * q + d
-        # head/q^a + tail/(q^a (q^b - 1))
-        return Fraction(head, q**a) + Fraction(tail, q**a * (q**b - 1))
-
-
-def digit_expansion(x: Fraction, q: int) -> DigitExpansion:
-    """Canonical eventually periodic base-q expansion of x in [0,1).
-
-    Long division on remainders; the cycle is found when a remainder repeats.
-    """
-    x = Fraction(x)
-    if not 0 <= x < 1:
-        raise ValueError(f"x must lie in [0,1), got {x}")
-    if q < 2:
-        raise ValueError("base must be >= 2")
-    den = x.denominator
-    rem = x.numerator
-    seen: dict[int, int] = {}
-    digits: list[int] = []
-    while rem not in seen:
-        seen[rem] = len(digits)
-        d, rem = divmod(rem * q, den)
-        digits.append(d)
-    cut = seen[rem]
-    pre = tuple(digits[:cut])
-    per = tuple(digits[cut:])
-    return DigitExpansion(q, pre, per)
-
-
 def truncate(x: Fraction, q: int, r: int) -> Fraction:
     """[x]_r: the rational made of the first r base-q digits of x."""
     if r < 0:
@@ -142,20 +70,24 @@ def truncate(x: Fraction, q: int, r: int) -> Fraction:
     return Fraction(scaled, q**r)
 
 
-def v_value(x: Fraction | DigitExpansion, q: int, r: int) -> int:
-    """Reversed-digit value of the first r digits: sum of x_j * q**(j-1)."""
+def digit(x: Fraction, q: int, j: int) -> int:
+    """The j-th base-q digit of x in [0,1) (1-indexed): floor(x * q**j) mod q."""
+    if j < 1:
+        raise ValueError("digit positions are 1-indexed")
+    if not 0 <= x < 1:
+        raise ValueError(f"x must lie in [0,1), got {x}")
+    return x.numerator * q**j // x.denominator % q
+
+
+def v_value(x: Fraction, q: int, r: int) -> int:
+    """Reversed-digit value of the first r digits: sum of x_j * q**(j-1).
+
+    That is the digit reversal of floor(x * q**r), whose r base-q digits are
+    the first r digits of x; an x outside [0,1) leaves the digit range.
+    """
     if r < 1:
         raise ValueError("depth must be >= 1")
-    if isinstance(x, DigitExpansion):
-        if x.base != q:
-            raise ValueError("expansion base mismatch")
-        digits = x.digits(r)
-    else:
-        digits = digit_expansion(Fraction(x), q).digits(r)
-    v = 0
-    for j, d in enumerate(digits):
-        v += d * q**j
-    return v
+    return digit_reverse(x.numerator * q**r // x.denominator, q, r)
 
 
 def digit_reverse(v: int, q: int, r: int) -> int:

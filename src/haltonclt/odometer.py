@@ -108,18 +108,6 @@ def jump(x: DigitPoint, k: int) -> DigitPoint:
     )
 
 
-def orbit_slice(x: DigitPoint, start: int, stop: int) -> Iterator[DigitPoint]:
-    """Lazily yield jump(x, k) for k = start .. stop-1."""
-    if start > stop:
-        raise ValueError("start must be <= stop")
-    if max(abs(start), abs(stop)) > x.guard:
-        raise GuardExhausted(
-            f"range [{start},{stop}) exceeds guard {x.guard}"
-        )
-    for k in range(start, stop):
-        yield jump(x, k)
-
-
 def radical_inverse(k: int, q: int) -> Fraction:
     """phi_q(k): base-q digit reversal of the integer k into [0,1)."""
     if k < 0:

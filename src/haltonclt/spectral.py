@@ -141,7 +141,7 @@ def character_expectation_bruteforce(
         m_inv = crt_inverses(basis, r)
         v_y = crt_combine(
             basis, r, m_inv,
-            [v_value(ex, p, ri) for ex, p, ri in zip(box.expansions, basis.primes, r)],
+            [v_value(y, p, ri) for y, p, ri in zip(box.y, basis.primes, r)],
         )
         moduli = tuple(p**ri for p, ri in zip(basis.primes, r))
         phase = {

@@ -23,6 +23,10 @@ from .kernel import PrimeBasis
 _AS_P = 0.2316419
 _AS_B = (0.319381530, -0.356563782, 1.781477937, -1.821255978, 1.330274429)
 
+# Longest base-p period of a corner coordinate that `condition_check` walks;
+# the walk takes about 0.3 us per digit, so the cap costs a few seconds.
+MAX_PERIOD = 10**7
+
 
 def normal_cdf(x: np.ndarray | float) -> np.ndarray | float:
     x = np.asarray(x, dtype=np.float64)
@@ -134,33 +138,52 @@ def condition_check(box: BoxTarget, kappa1: Fraction) -> ConditionReport:
     """Exact per-period density of digit positions passing the tail condition.
 
     A position j qualifies when the j-th digit of y_i is >= 1 and the exact
-    fractional part of y_i * p_i**j is <= 1 - kappa1.  For eventually periodic
-    expansions the liminf density equals the density over one period past the
-    preperiod.
+    fractional part of y_i * p_i**j is <= 1 - kappa1.  A rational's base-p_i
+    digits are eventually periodic, so the liminf density equals the density
+    over one period past the preperiod.  A period longer than MAX_PERIOD
+    digits raises ValueError.
     """
     kappa1 = Fraction(kappa1)
     if not 0 < kappa1 <= 1:
         raise ValueError("kappa1 must lie in (0, 1]")
-    densities = []
-    for i, p in enumerate(box.basis.primes):
-        exp = box.expansions[i]
-        y = box.y[i]
-        a, b = len(exp.preperiod), len(exp.period)
-        hits = 0
-        for j in range(a + 1, a + b + 1):
-            if exp.digit_at(j) < 1:
-                continue
-            tail = Fraction(y.numerator * p**j % y.denominator, y.denominator)
-            if tail <= 1 - kappa1:
-                hits += 1
-        densities.append(Fraction(hits, b))
+    densities = tuple(
+        _period_density(y, p, kappa1) for y, p in zip(box.y, box.basis.primes)
+    )
     kappa2 = min(densities)
     return ConditionReport(
         kappa1=kappa1,
-        densities=tuple(densities),
+        densities=densities,
         kappa2=kappa2,
         kappa3=kappa3(box.basis, kappa1, kappa2),
         feasible=kappa2 > 0,
+    )
+
+
+def _period_density(y: Fraction, p: int, kappa1: Fraction) -> Fraction:
+    """Density of qualifying positions over one base-p period of y.
+
+    Long division on remainders: r_j = num * p**j mod den is den times the
+    fractional part of y * p**j, and (d_j, r_j) = divmod(r_{j-1} * p, den)
+    gives digit j alongside it.  The preperiod is a = v_p(den), so the walk
+    starts at r_a and stops when r_a comes back, holding no digits.  Position
+    j qualifies when d_j >= 1 and r_j / den <= 1 - kappa1, tested in integers.
+    """
+    num, den = y.numerator, y.denominator
+    a, rest = 0, den
+    while rest % p == 0:
+        a, rest = a + 1, rest // p
+    start = num * p**a % den
+    k_num, k_den = kappa1.numerator, kappa1.denominator
+    slack = (k_den - k_num) * den
+    r, hits = start, 0
+    for b in range(1, MAX_PERIOD + 1):
+        d, r = divmod(r * p, den)
+        if d >= 1 and r * k_den <= slack:
+            hits += 1
+        if r == start:
+            return Fraction(hits, b)
+    raise ValueError(
+        f"the base-{p} period of y = {y} exceeds {MAX_PERIOD} digits"
     )
 
 

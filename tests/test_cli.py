@@ -65,6 +65,13 @@ def test_config_validation():
         ExperimentConfig(y=(F(1, 4),), require_feasible=True)
 
 
+def test_require_feasible_accepts_corner_sharing_a_factor_with_the_base():
+    # 1/6 = .0(01) in base 2 and 5/12 = .1(02) in base 3 both have
+    # qualifying positions in their period, so the guarantee holds
+    ExperimentConfig(y=(F(1, 6),), require_feasible=True)
+    ExperimentConfig(primes=(3,), y=(F(5, 12),), require_feasible=True)
+
+
 def test_config_file_and_overrides(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text(
@@ -219,6 +226,14 @@ def test_main_halton_stdout(capsys):
     assert main(["halton", "--N", "3", "--primes", "2,3"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[1].split("\t") == ["1", "1/2", "1/3"]
+
+
+def test_main_halton_negative_n_exit_code(capsys):
+    assert main(["halton", "--N", "-3"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == ""
 
 
 def test_main_condition_exit_codes():

@@ -42,7 +42,8 @@ def test_box_target_validation():
         BoxTarget.create(B2, (F(1),))
     box = BoxTarget.create(PrimeBasis((2, 3)), (F(1, 3), F(2, 5)))
     assert box.volume == F(2, 15)
-    assert box.expansions[0].value() == F(1, 3)
+    assert [box.digit(0, j) for j in range(1, 5)] == [0, 1, 0, 1]
+    assert [box.digit(1, j) for j in range(1, 5)] == [1, 0, 1, 2]
 
 
 def test_naive_examples():

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haltonclt.kernel import (
-    DigitExpansion,
     PrimeBasis,
     count_residue_in_range,
     crt_inverses,
-    digit_expansion,
+    digit,
     digit_reverse,
     truncate,
     v_value,
@@ -18,29 +17,36 @@ from haltonclt.kernel import (
 from haltonclt.rng import CounterRng
 
 
-def test_digit_expansion_examples():
-    assert digit_expansion(F(1, 3), 2) == DigitExpansion(2, (), (0, 1))
-    assert digit_expansion(F(1, 2), 2) == DigitExpansion(2, (1,), (0,))
-    assert digit_expansion(F(2, 3), 3) == DigitExpansion(3, (2,), (0,))
+def digits(x, q, r):
+    return [digit(x, q, j) for j in range(1, r + 1)]
 
 
-def test_digit_expansion_rejects_out_of_range():
+def test_digit_examples():
+    assert digits(F(1, 3), 2, 6) == [0, 1, 0, 1, 0, 1]
+    assert digits(F(1, 2), 2, 4) == [1, 0, 0, 0]
+    assert digits(F(2, 3), 3, 4) == [2, 0, 0, 0]
+
+
+def test_digit_rejects_out_of_range():
     with pytest.raises(ValueError):
-        digit_expansion(F(3, 2), 2)
+        digit(F(3, 2), 2, 1)
     with pytest.raises(ValueError):
-        digit_expansion(F(-1, 3), 2)
+        digit(F(-1, 3), 2, 1)
+    with pytest.raises(ValueError):
+        digit(F(1, 3), 2, 0)
+    with pytest.raises(ValueError):
+        v_value(F(3, 2), 2, 3)
 
 
 def test_digit_at_examples():
-    assert digit_expansion(F(1, 3), 2).digit_at(4) == 1
-    assert digit_expansion(F(1, 2), 2).digit_at(5) == 0
-    assert digit_expansion(F(2, 3), 3).digit_at(1) == 2
+    assert digit(F(1, 3), 2, 4) == 1
+    assert digit(F(1, 2), 2, 5) == 0
+    assert digit(F(2, 3), 3, 1) == 2
 
 
 def test_no_trailing_max_digit_tail():
     # canonical form: 1/2 in base 2 is .1000..., never .0111...
-    e = digit_expansion(F(1, 2), 2)
-    assert e.period == (0,)
+    assert digits(F(1, 2), 2, 40) == [1] + [0] * 39
 
 
 def test_truncate_examples():
@@ -70,12 +76,13 @@ def test_v_value_examples():
 )
 @settings(max_examples=300, deadline=None)
 def test_expansion_round_trips(num, den, q):
+    # the first r digits rebuild the truncation [x]_r
     x = F(num, den)
     if x >= 1:
         return
-    e = digit_expansion(x, q)
-    assert e.value() == x
-    assert len(e.preperiod) <= den and len(e.period) <= den
+    for r in (1, 7, 30):
+        rebuilt = sum(F(d, q**j) for j, d in enumerate(digits(x, q, r), 1))
+        assert rebuilt == truncate(x, q, r)
 
 
 @given(

@@ -10,7 +10,6 @@ from haltonclt.odometer import (
     halton,
     inverse_step,
     jump,
-    orbit_slice,
     radical_inverse,
     step,
 )
@@ -113,20 +112,6 @@ def test_halton_equals_forward_orbit_of_zero():
     basis = PrimeBasis((2, 3, 5))
     for k, point in enumerate(forward_orbit_from_zero(basis, 10**4)):
         assert point == halton(k, basis)
-
-
-def test_orbit_slice_examples():
-    x = pt(B2, [4], [10], 2)
-    assert [p.coordinates() for p in orbit_slice(x, 0, 1)] == [(F(5, 16),)]
-    assert [p.coordinate(0) for p in orbit_slice(x, -1, 1)] == [F(9, 16), F(5, 16)]
-    got = [p.coordinate(0) for p in orbit_slice(x, -2, 2)]
-    assert got == [F(1, 16), F(9, 16), F(5, 16), F(13, 16)]
-
-
-def test_orbit_slice_guard_violation():
-    x = pt(B2, [4], [10], 2)
-    with pytest.raises(GuardExhausted):
-        list(orbit_slice(x, -3, 1))
 
 
 @pytest.mark.parametrize("p,depth", [(2, 10), (3, 7), (5, 5), (2, 12)])

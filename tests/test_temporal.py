@@ -1,9 +1,11 @@
 from fractions import Fraction as F
-from math import erfc, fsum, log2, sqrt
+from math import erfc, fsum, gcd, log2, sqrt
 
 import numpy as np
 import pytest
 
+from haltonclt import temporal
+from haltonclt.cli import main
 from haltonclt.discrepancy import BoxTarget, DiscrepancySeries
 from haltonclt.kernel import PrimeBasis
 from haltonclt.temporal import (
@@ -131,19 +133,56 @@ def test_condition_check_coprime_rational_feasible_on_grid():
 
 
 def test_condition_density_stable_under_doubled_window():
-    # scanning two periods gives the same exact density as one
+    # scanning two periods gives the same exact density as one; 1/5 in
+    # base 2 is purely periodic with period ord_5(2) = 4
     box = BoxTarget.create(B2, (F(1, 5),))
     kappa1 = F(2, 3)
-    exp = box.expansions[0]
-    a, b = len(exp.preperiod), len(exp.period)
-    y, p = box.y[0], 2
+    y, p, b = box.y[0], 2, 4
     hits = 0
-    for j in range(a + 1, a + 2 * b + 1):
-        if exp.digit_at(j) >= 1:
+    for j in range(1, 2 * b + 1):
+        if box.digit(0, j) >= 1:
             tail = F(y.numerator * p**j % y.denominator, y.denominator)
             if tail <= 1 - kappa1:
                 hits += 1
     assert F(hits, 2 * b) == condition_check(box, kappa1).densities[0]
+
+
+def long_division_density(y, p, kappa1):
+    """Density over the cycle of stored digits and remainders, found by a dict."""
+    seen, digits, rem = {}, [], y.numerator
+    while rem not in seen:
+        seen[rem] = len(digits)
+        d, rem = divmod(rem * p, y.denominator)
+        digits.append((d, F(rem, y.denominator)))
+    cycle = digits[seen[rem]:]
+    hits = sum(1 for d, tail in cycle if d >= 1 and tail <= 1 - kappa1)
+    return F(hits, len(cycle))
+
+
+def test_condition_check_matches_long_division():
+    for p in (2, 3, 5):
+        basis = PrimeBasis((p,))
+        for den in range(2, 101):
+            for num in range(1, den):
+                if gcd(num, den) != 1:
+                    continue
+                y = F(num, den)
+                box = BoxTarget.create(basis, (y,))
+                for kappa1 in (F(1, 7), F(2, 3), F(1)):
+                    assert condition_check(box, kappa1).densities == (
+                        long_division_density(y, p, kappa1),
+                    ), (y, p, kappa1)
+
+
+def test_condition_check_period_cap(monkeypatch, capsys):
+    # 1/11 has base-2 period 10 and 1/13 period 12
+    monkeypatch.setattr(temporal, "MAX_PERIOD", 10)
+    assert condition_check(BoxTarget.create(B2, (F(1, 11),)), F(2, 3)).feasible
+    with pytest.raises(ValueError, match="period"):
+        condition_check(BoxTarget.create(B2, (F(1, 13),)), F(2, 3))
+    assert main(["condition", "--primes", "2", "--y", "1/13"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_theorem_window_worked_example():

@@ -1,0 +1,17 @@
+import importlib.util
+from pathlib import Path
+
+SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def test_benchmark_patch_list_resolves():
+    # importing the tracer resolves every library function the benchmark
+    # patches, so a rename or deletion in the library fails here
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    patched = [fn for fn, _, _ in spans.SPANS] + [fn for fn, _ in spans.COUNTED]
+    for fn in patched:
+        assert any(
+            value is fn for module in spans.MODULES for value in vars(module).values()
+        ), fn.__qualname__
