@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import resource
 import sys
 import time
 from dataclasses import dataclass
@@ -184,14 +185,21 @@ def _condition_dict(report: ConditionReport) -> dict:
 
 
 def run_clt(config: ExperimentConfig) -> dict:
-    """Full pipeline; returns the RunRecord and writes JSON/CSV if out is set."""
-    t0 = time.perf_counter()
-    point = sample_point(config)
-    box = BoxTarget.create(config.basis, config.y)
-    series = discrepancy_series(point, box, config.n)
-    t_series = time.perf_counter() - t0
+    """Full pipeline; returns the RunRecord and writes CSV/JSON if out is set.
 
+    The digit condition is checked first, so a corner whose period is too
+    long to walk fails before the series is built.  series.csv is written
+    before record.json, so the record's timings include the CSV write.
+    """
+    t0 = time.perf_counter()
+    box = BoxTarget.create(config.basis, config.y)
+    condition = condition_check(box, config.kappa1)
+    t_condition = time.perf_counter()
+    point = sample_point(config)
+    series = discrepancy_series(point, box, config.n)
+    t_series = time.perf_counter()
     h_dot, h_ddot = temporal_moments(series)
+    t_moments = time.perf_counter()
     if h_ddot > 0:
         stats = normalize_and_test(series, h_ddot, h_dot, s=config.basis.s)
     else:
@@ -201,7 +209,7 @@ def run_clt(config: ExperimentConfig) -> dict:
             mean=0.0, variance=0.0, skewness=float("nan"),
             excess_kurtosis=float("nan"), scaled_rms=0.0,
         )
-    condition = condition_check(box, config.kappa1)
+    t_normalize = time.perf_counter()
     if condition.feasible:
         lower, upper, kappa3 = theorem_window(
             config.basis, float(config.kappa1), float(condition.kappa2)
@@ -216,7 +224,12 @@ def run_clt(config: ExperimentConfig) -> dict:
         }
     else:
         window = {"applicable": False}
-    elapsed = time.perf_counter() - t0
+    csv_seconds = 0.0
+    if config.out is not None:
+        config.out.mkdir(parents=True, exist_ok=True)
+        t_csv = time.perf_counter()
+        write_series_csv(config.out / "series.csv", series)
+        csv_seconds = time.perf_counter() - t_csv
 
     record = {
         "config": {
@@ -234,34 +247,58 @@ def run_clt(config: ExperimentConfig) -> dict:
         "stats": _stats_dict(stats),
         "condition": _condition_dict(condition),
         "window": window,
-        "timings": {"series_seconds": t_series, "total_seconds": elapsed},
+        "timings": {
+            "condition_seconds": t_condition - t0,
+            "series_seconds": t_series - t_condition,
+            "moments_seconds": t_moments - t_series,
+            "normalize_seconds": t_normalize - t_moments,
+            "csv_seconds": csv_seconds,
+            # ru_maxrss is in KiB on Linux
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "total_seconds": time.perf_counter() - t0,
+        },
         "version": __version__,
     }
     if config.out is not None:
-        config.out.mkdir(parents=True, exist_ok=True)
         (config.out / "record.json").write_text(
             json.dumps(record, indent=2, sort_keys=True) + "\n"
         )
-        write_series_csv(config.out / "series.csv", series)
     return record
+
+
+# rows formatted and written at a time by write_series_csv
+CSV_BLOCK_ROWS = 2**16
 
 
 def write_series_csv(path: Path, series) -> None:
     """One row per k: the count and D(k) as a reduced fraction and a float.
 
-    With d = D(k) * den an integer, the reduced fraction is d/g over den/g for
-    g = gcd(d, den), and d / den is the correctly rounded float of D(k).
+    The last three columns depend only on d = D(k) * den, so they are
+    formatted once per distinct d: the reduced fraction is d/g over den/g for
+    g = gcd(d, den), and d / den of Python ints is the correctly rounded float
+    of D(k) (an int64 or float64 division is not).  Rows are written in
+    blocks of CSV_BLOCK_ROWS, in csv.writer's format.
     """
-    num, den = series.volume.numerator, series.volume.denominator
+    den = series.volume.denominator
+    values, _, index = series.value_table()
+    tails = np.array([_value_columns(d, den) for d in values.tolist()], dtype=object)
+    counts = series.counts
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["k", "count", "discrepancy_num", "discrepancy_den", "discrepancy_float"]
-        )
-        for k, c in enumerate(series.counts.tolist()):
-            d = c * den - 2 * k * num
-            g = gcd(d, den)
-            writer.writerow([k, c, d // g, den // g, repr(d / den)])
+        fh.write("k,count,discrepancy_num,discrepancy_den,discrepancy_float\r\n")
+        for lo in range(0, series.n, CSV_BLOCK_ROWS):
+            hi = min(lo + CSV_BLOCK_ROWS, series.n)
+            fh.write("".join([
+                f"{k},{c},{tail}"
+                for k, c, tail in zip(
+                    range(lo, hi), counts[lo:hi].tolist(), tails[index[lo:hi]].tolist()
+                )
+            ]))
+
+
+def _value_columns(d: int, den: int) -> str:
+    """The num, den and float columns of D = d / den, with the row's end."""
+    g = gcd(d, den)
+    return f"{d // g},{den // g},{d / den!r}\r\n"
 
 
 def read_series_csv(path: Path) -> list[dict]:

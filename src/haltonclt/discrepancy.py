@@ -247,6 +247,35 @@ class DiscrepancySeries:
     def values(self) -> list[Fraction]:
         return [self.value(k) for k in range(self.n)]
 
+    def scaled_values(self) -> np.ndarray:
+        """d_k = D(k) * den = counts[k] * den - 2k * num, exactly.
+
+        Counts are nonnegative, so every d_k and both products lie within
+        max(2N, largest count) * den, which is 2N * den for a series that
+        `discrepancy_series` built.  Below 2**63 the array is int64;
+        otherwise it holds Python ints (dtype object).
+        """
+        num, den = self.volume.numerator, self.volume.denominator
+        k = np.arange(self.n, dtype=np.int64)
+        if max(2 * self.n, int(self.counts.max(initial=0))) * den < 2**63:
+            return self.counts * den - k * (2 * num)
+        return self.counts.astype(object) * den - k.astype(object) * (2 * num)
+
+    def value_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(values, weights, index): the scaled values d_k without repeats,
+        how many k take each, and for each k the position of d_k in values.
+
+        d_j = d_k means (c_j - c_k) * den = 2(j - k) * num, and num, den are
+        coprime, so den divides 2(j - k).  Once den > 2(N - 1) every d_k is
+        distinct and the table is d itself, unsorted: sorting an object array
+        compares Python ints one pair at a time.  Otherwise values are sorted.
+        """
+        d = self.scaled_values()
+        if self.volume.denominator > 2 * (self.n - 1):
+            return d, np.ones(self.n, dtype=np.int64), np.arange(self.n)
+        values, weights = np.unique(d, return_counts=True)
+        return values, weights, np.searchsorted(values, d)
+
     def float_values(self) -> np.ndarray:
         num, den = self.volume.numerator, self.volume.denominator
         k = np.arange(self.n, dtype=np.float64)

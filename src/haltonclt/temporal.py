@@ -1,8 +1,13 @@
 """Temporal statistics of the discrepancy series and the digit-condition check.
 
-The time window k = 0 .. N-1 is the sampling ensemble: the temporal mean and
-root mean square are accumulated exactly over the series' integer
-representation, converted to floating point once at the end.
+The time window k = 0 .. N-1 is the sampling ensemble.  The temporal mean
+H_dot and mean square H_ddot^2 are exact: they are summed in Python ints over
+the series' value table (`DiscrepancySeries.value_table`), the distinct
+scaled values d = D(k) * den with how many k take each, which has a few
+hundred entries for a typical corner, and are converted to floating point
+once at the end.  The KS distance and the sample mean, variance, skewness
+and excess kurtosis of D / H_ddot are still taken from the float series
+(`float_values`), whose rounding the pinned records depend on.
 """
 
 from __future__ import annotations
@@ -69,16 +74,17 @@ class ConditionReport:
 
 
 def exact_moments(series: DiscrepancySeries) -> tuple[Fraction, Fraction]:
-    """(mean of D(k), mean of D(k)^2), both exact."""
-    num, den = series.volume.numerator, series.volume.denominator
-    n = series.n
-    s1 = 0
-    s2 = 0
-    for k, c in enumerate(series.counts.tolist()):
-        d_scaled = c * den - 2 * k * num  # D(k) * den
-        s1 += d_scaled
-        s2 += d_scaled * d_scaled
-    return Fraction(s1, n * den), Fraction(s2, n * den * den)
+    """(mean of D(k), mean of D(k)^2), both exact.
+
+    Summed in Python ints over the distinct scaled values d = D(k) * den,
+    each weighted by how many k take it.
+    """
+    den = series.volume.denominator
+    values, weights, _ = series.value_table()
+    table = list(zip(values.tolist(), weights.tolist()))
+    s1 = sum(d * w for d, w in table)
+    s2 = sum(d * d * w for d, w in table)
+    return Fraction(s1, series.n * den), Fraction(s2, series.n * den * den)
 
 
 def temporal_moments(series: DiscrepancySeries) -> tuple[Fraction, float]:

@@ -1,11 +1,14 @@
+import csv
 import json
 from fractions import Fraction as F
 from itertools import count
+from math import gcd
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from haltonclt import cli, temporal
 from haltonclt.cli import (
     ConfigError,
     ExperimentConfig,
@@ -17,6 +20,7 @@ from haltonclt.cli import (
     run_verify,
     sample_point,
 )
+from haltonclt.discrepancy import BoxTarget, discrepancy_series
 from haltonclt.odometer import DigitPoint
 from haltonclt.rng import CounterRng
 
@@ -265,3 +269,78 @@ def test_main_discrepancy(tmp_path):
     )
     assert rc == 0
     assert (out / "series.csv").exists()
+
+
+def test_clt_checks_condition_before_series(monkeypatch, capsys):
+    # 1/13 has base-2 period 12, past the patched cap, so clt must exit 2
+    # before it builds the series
+    def no_series(*args):
+        raise AssertionError("series built before the digit condition was checked")
+
+    monkeypatch.setattr(temporal, "MAX_PERIOD", 10)
+    monkeypatch.setattr(cli, "discrepancy_series", no_series)
+    assert main(["clt", "--primes", "2", "--y", "1/13", "--N", "64"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_run_clt_stage_timings(tmp_path):
+    record = run_clt(
+        ExperimentConfig(primes=(2,), y=(F(1, 3),), n=4096, seed=42, out=tmp_path)
+    )
+    timings = record["timings"]
+    stages = (
+        "condition_seconds", "series_seconds", "moments_seconds",
+        "normalize_seconds", "csv_seconds",
+    )
+    assert set(timings) == {*stages, "peak_rss_mb", "total_seconds"}
+    assert all(timings[key] >= 0 for key in stages)
+    assert sum(timings[key] for key in stages) <= timings["total_seconds"]
+    assert timings["csv_seconds"] > 0 and timings["peak_rss_mb"] > 0
+    written = json.loads((tmp_path / "record.json").read_text())
+    assert written["timings"] == timings
+
+
+def reference_series_csv(path, series):
+    """One csv.writer row per k, each value computed on its own."""
+    num, den = series.volume.numerator, series.volume.denominator
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["k", "count", "discrepancy_num", "discrepancy_den", "discrepancy_float"]
+        )
+        for k in range(series.n):
+            c = int(series.counts[k])
+            d = c * den - 2 * k * num
+            g = gcd(d, den)
+            writer.writerow([k, c, d // g, den // g, repr(d / den)])
+
+
+BIG = 2**70 + 1
+BLOCK_EDGE = 3 * cli.CSV_BLOCK_ROWS + 5
+
+
+# (primes, y, N, seed, dtype of the scaled values)
+WRITER_CASES = [
+    ((2,), (F(1, 3),), BLOCK_EDGE, 42, np.int64),
+    ((2, 3), (F(1, 5), F(2, 5)), BLOCK_EDGE, 7, np.int64),
+    # den = 3^12 > 2N: every scaled value distinct, in int64
+    ((2,), (F(1, 3**12),), cli.CSV_BLOCK_ROWS + 3, 2, np.int64),
+    ((2,), (F(BIG // 3, BIG),), cli.CSV_BLOCK_ROWS + 3, 1, object),
+]
+
+
+@pytest.mark.parametrize(
+    "primes,y,n,seed,dtype", WRITER_CASES, ids=["1d", "2d", "1d-3^12", "1d-2^70+1"]
+)
+def test_write_series_csv_matches_reference(tmp_path, primes, y, n, seed, dtype):
+    cfg = ExperimentConfig(primes=primes, y=y, n=n, seed=seed)
+    series = discrepancy_series(
+        sample_point(cfg), BoxTarget.create(cfg.basis, cfg.y), n
+    )
+    assert series.scaled_values().dtype == dtype
+    cli.write_series_csv(tmp_path / "fast.csv", series)
+    reference_series_csv(tmp_path / "reference.csv", series)
+    assert (tmp_path / "fast.csv").read_bytes() == (
+        tmp_path / "reference.csv"
+    ).read_bytes()

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from haltonclt.discrepancy import (
@@ -16,6 +17,7 @@ from haltonclt.discrepancy import (
 from haltonclt.kernel import PrimeBasis, truncate
 from haltonclt.odometer import DigitPoint, GuardExhausted, jump
 from haltonclt.rng import CounterRng
+from haltonclt.temporal import exact_moments
 
 B2 = PrimeBasis((2,))
 
@@ -210,3 +212,32 @@ def test_series_depth_limit_is_int64():
 def test_series_value_representation():
     s = DiscrepancySeries(3, (0, 1, 1), F(1, 3))
     assert s.values() == [0, F(1, 3), 1 - F(4, 3)]
+
+
+@pytest.mark.parametrize("den,dtype", [(2**56 - 1, np.int64), (2**56 + 1, object)])
+def test_scaled_values_int64_object_boundary(den, dtype):
+    # N = 64: 2N * den is 2^63 - 128 just below 2^63 and 2^63 + 128 just above
+    n = 64
+    y = F(den // 3 + 1, den)
+    assert y.denominator == den
+    box = BoxTarget.create(B2, (y,))
+    series = discrepancy_series(DigitPoint.sample(B2, n, CounterRng(5)), box, n)
+    d = series.scaled_values()
+    assert d.dtype == dtype
+    assert d.tolist() == [series.value(k) * den for k in range(n)]
+    assert exact_moments(series) == (
+        sum(series.values()) / n, sum(v * v for v in series.values()) / n
+    )
+    values, weights, index = series.value_table()
+    assert values[index].tolist() == d.tolist() and weights.sum() == n
+
+
+def test_value_table_groups_repeated_values():
+    # den = 3 < 2N: the scaled values repeat, so the table is sorted and distinct
+    series = DiscrepancySeries(6, (0, 1, 1, 2, 3, 3), F(1, 3))
+    d = series.scaled_values()
+    assert d.tolist() == [0, 1, -1, 0, 1, -1]
+    values, weights, index = series.value_table()
+    assert values.tolist() == [-1, 0, 1]
+    assert weights.tolist() == [2, 2, 2]
+    assert values[index].tolist() == d.tolist()

@@ -1,5 +1,8 @@
 import importlib.util
+import inspect
 from pathlib import Path
+
+from haltonclt import cli
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -15,3 +18,9 @@ def test_benchmark_patch_list_resolves():
         assert any(
             value is fn for module in spans.MODULES for value in vars(module).values()
         ), fn.__qualname__
+
+
+def test_write_series_csv_takes_the_path_first():
+    # the benchmark weighs cli.csv_bytes as os.path.getsize(args[0])
+    first = next(iter(inspect.signature(cli.write_series_csv).parameters))
+    assert first == "path"
