@@ -16,7 +16,7 @@ import json
 import resource
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -161,17 +161,8 @@ def _rational_field(x: Fraction) -> dict:
 
 
 def _stats_dict(stats: TemporalStats) -> dict:
-    return {
-        "N": stats.n,
-        "H_dot": stats.h_dot,
-        "H_ddot": stats.h_ddot,
-        "ks_distance": stats.ks_distance,
-        "mean": stats.mean,
-        "variance": stats.variance,
-        "skewness": stats.skewness,
-        "excess_kurtosis": stats.excess_kurtosis,
-        "scaled_rms": stats.scaled_rms,
-    }
+    renamed = {"n": "N", "h_dot": "H_dot", "h_ddot": "H_ddot"}
+    return {renamed.get(k, k): v for k, v in asdict(stats).items()}
 
 
 def _condition_dict(report: ConditionReport) -> dict:
@@ -192,6 +183,7 @@ def run_clt(config: ExperimentConfig) -> dict:
     before record.json, so the record's timings include the CSV write.
     """
     t0 = time.perf_counter()
+    rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     box = BoxTarget.create(config.basis, config.y)
     condition = condition_check(box, config.kappa1)
     t_condition = time.perf_counter()
@@ -231,6 +223,7 @@ def run_clt(config: ExperimentConfig) -> dict:
         write_series_csv(config.out / "series.csv", series)
         csv_seconds = time.perf_counter() - t_csv
 
+    rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     record = {
         "config": {
             "primes": list(config.primes),
@@ -253,8 +246,9 @@ def run_clt(config: ExperimentConfig) -> dict:
             "moments_seconds": t_moments - t_series,
             "normalize_seconds": t_normalize - t_moments,
             "csv_seconds": csv_seconds,
-            # ru_maxrss is in KiB on Linux
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            # ru_maxrss (KiB on Linux) is this run's own peak if it rose in it
+            "peak_rss_mb": rss1 / 1024,
+            "peak_rss_is_own": rss1 > rss0,
             "total_seconds": time.perf_counter() - t0,
         },
         "version": __version__,

@@ -188,11 +188,13 @@ def fast_two_sided_discrepancy(
 
 
 class DigitReverser:
-    """Chunked digit reversal of int64 arrays for one (base, depth) pair.
+    """Digit reversal of int64 arrays for one (base, depth) pair.
 
-    Splits a reversed-digit value into chunks of `c` digits and reverses each
-    chunk through a precomputed table; depth is padded up to a multiple of c
-    (padding digits are zero, so the reversed value is just scaled by the pad).
+    Depth is padded to a multiple of c digits (zeros, which only scale the
+    result); chunk t of v, digits tc .. tc+c-1, is reversed through a table
+    of the m = p**c <= 4096 chunk values and weighted by weights[t].  The low
+    chunk of q*m is zero, so rev(q*m + r) = table[r] * weights[0] + rev(q*m)
+    for r < m, and a run of integers needs `reverse_array` only at q*m.
     """
 
     def __init__(self, p: int, depth: int):
@@ -282,6 +284,14 @@ class DiscrepancySeries:
         return self.counts.astype(np.float64) - 2.0 * k * (num / den)
 
 
+def _runs_below(rev: DigitReverser, lo: int, n: int, threshold: int) -> np.ndarray:
+    """rev(lo + j) < threshold for j = 0 .. n-1: the table row against each block."""
+    q0, r0 = divmod(lo, rev.chunk_mod)
+    heads = (q0 + np.arange((r0 + n - 1) // rev.chunk_mod + 1)) * rev.chunk_mod
+    low = rev.table * rev.weights[0]
+    return (low < (threshold - rev.reverse_array(heads))[:, None]).ravel()[r0 : r0 + n]
+
+
 def _membership_flags(x: DigitPoint, box: BoxTarget, n: int) -> np.ndarray:
     """flags[k] = (points joined at window size k+1 inside the box), summed.
 
@@ -289,17 +299,16 @@ def _membership_flags(x: DigitPoint, box: BoxTarget, n: int) -> np.ndarray:
     jump(x, -k-1) lie in the box (0, 1, or 2).  At the padded depth D a
     coordinate is rev / p**D, and rev / p**D < num / den exactly when
     rev < ceil(num * p**D / den); that threshold is at most p**D, so the
-    comparison stays in int64 whatever the size of den.
+    comparison stays in int64 whatever the size of den.  The forward run is
+    v .. v+n-1 and the backward one v-n .. v-1 reversed, inside [0, p**D).
     """
-    ks = np.arange(n, dtype=np.int64)
-    fwd = np.ones(n, dtype=bool)
-    bwd = np.ones(n, dtype=bool)
+    fwd, bwd = np.ones((2, n), dtype=bool)
     for p, depth, v, y in zip(x.basis.primes, x.depths, x.values, box.y):
         rev = DigitReverser(p, depth)
         threshold = -(-y.numerator * p**rev.padded_depth // y.denominator)
-        fwd &= rev.reverse_array(v + ks) < threshold
-        bwd &= rev.reverse_array(v - 1 - ks) < threshold
-    return fwd.astype(np.int64) + bwd.astype(np.int64)
+        fwd &= _runs_below(rev, v, n, threshold)
+        bwd &= _runs_below(rev, v - n, n, threshold)[::-1]
+    return fwd.astype(np.int8) + bwd
 
 
 def discrepancy_series(x: DigitPoint, box: BoxTarget, n: int) -> DiscrepancySeries:

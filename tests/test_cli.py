@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from fractions import Fraction as F
 from itertools import count
 from math import gcd
@@ -293,12 +294,34 @@ def test_run_clt_stage_timings(tmp_path):
         "condition_seconds", "series_seconds", "moments_seconds",
         "normalize_seconds", "csv_seconds",
     )
-    assert set(timings) == {*stages, "peak_rss_mb", "total_seconds"}
+    assert set(timings) == {*stages, "peak_rss_mb", "peak_rss_is_own", "total_seconds"}
     assert all(timings[key] >= 0 for key in stages)
     assert sum(timings[key] for key in stages) <= timings["total_seconds"]
     assert timings["csv_seconds"] > 0 and timings["peak_rss_mb"] > 0
     written = json.loads((tmp_path / "record.json").read_text())
     assert written["timings"] == timings
+
+
+def test_run_clt_peak_rss_after_a_larger_run_is_not_its_own():
+    # ru_maxrss is the process's high-water mark: a small run after a large
+    # one cannot raise it, so its peak_rss_mb is the large run's
+    large = run_clt(ExperimentConfig(primes=(2,), y=(F(1, 3),), n=2**18, seed=42))
+    small = run_clt(ExperimentConfig(primes=(2,), y=(F(1, 3),), n=2**10, seed=42))
+    assert small["timings"]["peak_rss_is_own"] is False
+    assert small["timings"]["peak_rss_mb"] >= large["timings"]["peak_rss_mb"]
+
+
+def test_run_clt_heap_peak_per_step():
+    # the traced heap peak of the in-memory path, per step of the series; it
+    # sets the largest N that fits in memory
+    n = 2**18
+    tracemalloc.start()
+    try:
+        run_clt(ExperimentConfig(primes=(2,), y=(F(1, 3),), n=n, seed=42))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * n
 
 
 def reference_series_csv(path, series):

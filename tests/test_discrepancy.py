@@ -2,9 +2,12 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haltonclt.discrepancy import (
     BoxTarget,
+    DigitReverser,
     DiscrepancySeries,
     _membership_flags,
     crt_frame,
@@ -241,3 +244,58 @@ def test_value_table_groups_repeated_values():
     assert values.tolist() == [-1, 0, 1]
     assert weights.tolist() == [2, 2, 2]
     assert values[index].tolist() == d.tolist()
+
+
+# the deepest digit count per base whose chunk-padded depth fits in int64
+MAX_DEPTH = {2: 60, 3: 35, 5: 25, 7: 20, 11: 18, 13: 15}
+CHUNK_MOD = {p: DigitReverser(p, 1).chunk_mod for p in MAX_DEPTH}
+CORNER_DENS = (3, 2**70 + 1, 10**25 + 7)
+
+
+@pytest.mark.parametrize("p", sorted(MAX_DEPTH))
+def test_max_depth_is_the_int64_limit(p):
+    DigitReverser(p, MAX_DEPTH[p])
+    with pytest.raises(ValueError):
+        DigitReverser(p, MAX_DEPTH[p] + 1)
+
+
+def reference_flags(x, box, n):
+    """The per-element flags: every window point reversed on its own."""
+    ks = np.arange(n, dtype=np.int64)
+    fwd = np.ones(n, dtype=bool)
+    bwd = np.ones(n, dtype=bool)
+    for p, depth, v, y in zip(x.basis.primes, x.depths, x.values, box.y):
+        rev = DigitReverser(p, depth)
+        threshold = -(-y.numerator * p**rev.padded_depth // y.denominator)
+        fwd &= rev.reverse_array(v + ks) < threshold
+        bwd &= rev.reverse_array(v - 1 - ks) < threshold
+    return fwd.astype(np.int64) + bwd.astype(np.int64)
+
+
+@st.composite
+def flag_cases(draw):
+    primes = draw(st.lists(st.sampled_from(sorted(MAX_DEPTH)), min_size=1,
+                           max_size=2, unique=True))
+    basis = PrimeBasis(tuple(sorted(primes)))
+    m = CHUNK_MOD[basis.primes[0]]
+    n = draw(st.sampled_from((1, m - 1, m, m + 1, 3 * m + 5)))
+    depths, values, y = [], [], []
+    for p in basis.primes:
+        depth = draw(st.integers(1, MAX_DEPTH[p]))
+        while p**depth <= 2 * n:
+            depth += 1
+        # v = n and v = p**depth - 1 - n are the two guard edges
+        offset = draw(st.one_of(st.just(0), st.just(-1), st.integers(0, 2**64)))
+        depths.append(depth)
+        values.append(n + offset % (p**depth - 2 * n))
+        den = draw(st.sampled_from(CORNER_DENS))
+        y.append(F(draw(st.integers(1, den - 1)), den))
+    x = DigitPoint(basis, tuple(depths), tuple(values), guard=n)
+    return x, BoxTarget.create(basis, y), n
+
+
+@given(flag_cases())
+@settings(max_examples=150, deadline=None)
+def test_membership_flags_match_per_element_reversal(case):
+    x, box, n = case
+    assert np.array_equal(_membership_flags(x, box, n), reference_flags(x, box, n))

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from haltonclt import temporal
-from haltonclt.cli import main
-from haltonclt.discrepancy import BoxTarget, DiscrepancySeries
+from haltonclt.cli import ExperimentConfig, main, sample_point
+from haltonclt.discrepancy import BoxTarget, DiscrepancySeries, discrepancy_series
 from haltonclt.kernel import PrimeBasis
 from haltonclt.temporal import (
     condition_check,
@@ -89,6 +89,61 @@ def test_ks_scale_invariance_of_normalization():
     _, h_ddot = temporal_moments(s)
     z = s.float_values() / h_ddot
     assert ks_normal(z) == ks_normal((s.float_values() * 3.7) / (h_ddot * 3.7))
+
+
+def reference_ks(samples):
+    """The KS distance with the normal CDF at every sorted sample."""
+    z = np.sort(np.asarray(samples, dtype=np.float64))
+    n = len(z)
+    cdf = normal_cdf(z)
+    hi = np.arange(1, n + 1) / n - cdf
+    lo = cdf - np.arange(0, n) / n
+    return float(max(hi.max(), lo.max()))
+
+
+def ks_samples():
+    rng = np.random.default_rng(17)
+    yield "normals", rng.standard_normal(50_000)
+    yield "normals-small", rng.standard_normal(300)
+    yield "ties", rng.integers(-7, 8, size=20_000) / 2.3
+    # clustered like float_values(): shared values spread by about 1e-9
+    centres = rng.integers(-40, 41, size=20_000) / 13
+    yield "clusters", centres + 1e-9 * rng.standard_normal(centres.size)
+    yield "around-zero", rng.uniform(-1e-9, 1e-9, size=1000)
+    yield "n=1-zero", np.array([0.0])
+    yield "n=1-negative", np.array([-0.7])
+    yield "n=2-tie", np.array([1.2, 1.2])
+    yield "n=2-straddling", np.array([-0.3, 0.4])
+    yield "n=2-tiny", np.array([-1e-300, 1e-300])
+
+
+KS_CASES = dict(ks_samples())
+
+
+@pytest.mark.parametrize("label", list(KS_CASES))
+def test_ks_matches_full_sort(label):
+    z = KS_CASES[label]
+    assert ks_normal(z) == reference_ks(z)
+
+
+# the five configs that tests/test_golden.py pins: (primes, y, N, seed)
+GOLDEN_CONFIGS = [
+    ((2,), (F(1, 3),), 4096, 42),
+    ((2, 3), (F(1, 5), F(2, 5)), 4096, 7),
+    ((2, 3, 5), (F(1, 3), F(2, 5), F(3, 7)), 2048, 3),
+    ((2,), (F((2**70 + 1) // 3, 2**70 + 1),), 256, 1),
+    ((2,), (F(1, 2),), 64, 1),
+]
+
+
+@pytest.mark.parametrize("primes,y,n,seed", GOLDEN_CONFIGS)
+def test_ks_matches_full_sort_on_golden_series(primes, y, n, seed):
+    cfg = ExperimentConfig(primes=primes, y=y, n=n, seed=seed)
+    series = discrepancy_series(sample_point(cfg), BoxTarget.create(cfg.basis, y), n)
+    _, h_ddot = temporal_moments(series)
+    # y = 1/2 gives the zero series: KS of the point mass at 0
+    z = series.float_values() / (h_ddot if h_ddot > 0 else 1.0)
+    assert ks_normal(z) == reference_ks(z)
 
 
 def test_normalized_second_moment_is_one():
