@@ -26,13 +26,21 @@ import numpy as np
 from . import __version__, spectral
 from .discrepancy import (
     BoxTarget,
+    DiscrepancySeries,
     crt_frame,
     discrepancy_series,
     fast_two_sided_discrepancy,
     two_sided_discrepancy_naive,
 )
 from .kernel import PrimeBasis, format_rational, parse_rational
-from .odometer import DigitPoint, forward_orbit_from_zero, halton, inverse_step, step
+from .odometer import (
+    DigitPoint,
+    GuardExhausted,
+    forward_orbit_from_zero,
+    halton,
+    inverse_step,
+    step,
+)
 from .rng import CounterRng
 from .temporal import (
     ConditionReport,
@@ -300,26 +308,62 @@ def read_series_csv(path: Path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def emit_histogram(samples: np.ndarray, bins: int) -> list[tuple]:
+def emit_histogram(
+    samples: np.ndarray, bins: int, weights: np.ndarray | None = None
+) -> list[tuple]:
     """Equal-width bins over [-4,4]; out-of-range samples clip into end bins.
 
-    Rows: (bin_left, bin_right, observed, expected), expected from the normal
-    CDF so its column total is N * (Phi(4) - Phi(-4)).
+    Sample i counts weights[i] times (once without weights), so n is the sum
+    of the weights.  Rows: (bin_left, bin_right, observed, expected), expected
+    from the normal CDF so its column total is n * (Phi(4) - Phi(-4)).
     """
     if bins < 2:
         raise ValueError("need at least 2 bins")
     samples = np.asarray(samples, dtype=np.float64)
-    n = len(samples)
+    n = len(samples) if weights is None else int(np.sum(weights))
     if n == 0:
         raise ValueError("no samples")
     edges = np.linspace(-4.0, 4.0, bins + 1)
     idx = np.clip(np.searchsorted(edges, samples, side="right") - 1, 0, bins - 1)
-    observed = np.bincount(idx, minlength=bins)
+    observed = np.bincount(idx, weights=weights, minlength=bins)
     expected = n * (normal_cdf(edges[1:]) - normal_cdf(edges[:-1]))
     return [
         (float(edges[i]), float(edges[i + 1]), int(observed[i]), float(expected[i]))
         for i in range(bins)
     ]
+
+
+def series_from_record(record: dict) -> DiscrepancySeries:
+    """The discrepancy series of a clt run, rebuilt from its record.json alone.
+
+    The recorded point, corner and N give the series again.  Its exact
+    moments must reproduce the recorded H_dot and H_ddot bit for bit, which
+    ties the series to the run the record describes.  A missing entry, a
+    point whose guard is below N, or a mismatch raises ValueError.
+    """
+    try:
+        config, point, stats = record["config"], record["point"], record["stats"]
+        recorded = (stats["H_dot"], stats["H_ddot"])
+        basis = PrimeBasis(tuple(config["primes"]))
+        box = BoxTarget.create(basis, [parse_rational(t) for t in config["y"]])
+        x = DigitPoint(
+            basis,
+            tuple(point["depths"]),
+            tuple(int(v) for v in point["values"]),
+            point["guard"],
+        )
+        series = discrepancy_series(x, box, config["N"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed record.json: {type(exc).__name__} {exc}") from None
+    except GuardExhausted as exc:
+        raise ValueError(f"record.json: {exc}") from None
+    h_dot, h_ddot = temporal_moments(series)
+    if (float(h_dot), h_ddot) != recorded:
+        raise ValueError(
+            f"record.json: its point gives H_dot = {float(h_dot)!r}, "
+            f"H_ddot = {h_ddot!r}, not the recorded {recorded[0]!r}, {recorded[1]!r}"
+        )
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -530,17 +574,18 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "histogram":
             outdir = Path(args.out)
             record = json.loads((outdir / "record.json").read_text())
+            series = series_from_record(record)
             h_ddot = record["stats"]["H_ddot"]
             if not h_ddot > 0:
                 raise ValueError(
                     f"H_ddot = {h_ddot}: the series is identically zero, "
                     "so D / H_ddot has no histogram"
                 )
-            # column 4 of series.csv is discrepancy_float
-            samples = np.loadtxt(
-                outdir / "series.csv", delimiter=",", skiprows=1, usecols=4
-            ) / h_ddot
-            hist = emit_histogram(samples, args.bins)
+            # d / den of Python ints is the float series.csv holds for D = d / den
+            den = series.volume.denominator
+            values, weights, _ = series.value_table()
+            samples = np.array([d / den for d in values.tolist()]) / h_ddot
+            hist = emit_histogram(samples, args.bins, weights=weights)
             with open(outdir / "histogram.csv", "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["bin_left", "bin_right", "observed", "expected"])

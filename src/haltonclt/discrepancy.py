@@ -28,7 +28,6 @@ from .kernel import (
     count_residue_in_range,
     crt_inverses,
     digit,
-    digit_reverse,
     truncate,
     v_value,
 )
@@ -209,9 +208,12 @@ class DigitReverser:
                 "does not fit in int64"
             )
         self.chunk_mod = p**c
-        self.table = np.array(
-            [digit_reverse(v, p, c) for v in range(self.chunk_mod)], dtype=np.int64
-        )
+        # digit_reverse(v, p, c) for every chunk value v, one digit at a time
+        rest = np.arange(self.chunk_mod, dtype=np.int64)
+        self.table = np.zeros_like(rest)
+        for _ in range(c):
+            rest, low = np.divmod(rest, p)
+            self.table = self.table * p + low
         # weight of chunk t: reversed chunk lands at digit offset padded - c*(t+1)
         self.divisors = [self.chunk_mod**t for t in range(n_chunks)]
         self.weights = [

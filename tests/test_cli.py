@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import math
 import tracemalloc
 from fractions import Fraction as F
 from itertools import count
@@ -24,6 +26,8 @@ from haltonclt.cli import (
 from haltonclt.discrepancy import BoxTarget, discrepancy_series
 from haltonclt.odometer import DigitPoint
 from haltonclt.rng import CounterRng
+
+BIG = 2**70 + 1
 
 
 def test_sample_point_deterministic():
@@ -159,8 +163,6 @@ def test_infeasible_corner_downgrades_window():
 
 def test_identically_zero_series_runs_gracefully():
     # y = 1/2 balances every window exactly, so D(k) == 0 for all k
-    import math
-
     record = run_clt(ExperimentConfig(primes=(2,), y=(F(1, 2),), n=64, seed=1))
     assert record["stats"]["H_ddot"] == 0
     assert math.isnan(record["stats"]["ks_distance"])
@@ -182,6 +184,15 @@ def test_emit_histogram_conservation_and_expected_total():
     rows = emit_histogram(z, 16)
     assert sum(r[2] for r in rows) == 5000
     assert abs(sum(r[3] for r in rows) - 5000) <= 1e-3 * 5000
+
+
+def test_emit_histogram_weights_match_repeated_samples():
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=40) * 2.5  # some values outside [-4, 4]
+    weights = rng.integers(0, 50, size=40)
+    rows = emit_histogram(values, 16, weights=weights)
+    assert rows == emit_histogram(np.repeat(values, weights), 16)
+    assert sum(r[2] for r in rows) == weights.sum()
 
 
 def test_emit_histogram_bad_bins():
@@ -225,6 +236,97 @@ def test_main_histogram_of_zero_series_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert not (out / "histogram.csv").exists()
+
+
+def histogram_reference(outdir, bins):
+    """histogram.csv as read from series.csv: column 4 over H_ddot, per row."""
+    h_ddot = json.loads((outdir / "record.json").read_text())["stats"]["H_ddot"]
+    samples = np.loadtxt(
+        outdir / "series.csv", delimiter=",", skiprows=1, usecols=4
+    ) / h_ddot
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["bin_left", "bin_right", "observed", "expected"])
+    writer.writerows(emit_histogram(samples, bins))
+    return buf.getvalue().encode()
+
+
+# (primes, y, N, seed); the 2^70+1 corner has every scaled value distinct
+# and stored as Python ints
+HISTOGRAM_CASES = [
+    ((2,), ("1/3",), 2**16 + 3, 42),
+    ((2, 3), ("1/5", "2/5"), 2**14 + 1, 7),
+    ((2, 3, 5), ("1/3", "2/5", "3/7"), 4099, 3),
+    ((2,), (f"{BIG // 3}/{BIG}",), 4099, 1),
+    ((3,), ("5/12",), 3**9 + 2, 5),
+]
+
+
+@pytest.mark.parametrize(
+    "primes,y,n,seed", HISTOGRAM_CASES, ids=["1d", "2d", "3d", "1d-2^70+1", "base3"]
+)
+def test_histogram_from_record_matches_series_csv_reference(
+    tmp_path, capsys, primes, y, n, seed
+):
+    out = tmp_path / "run"
+    assert main([
+        "clt", "--primes", ",".join(map(str, primes)), "--y", ",".join(y),
+        "--N", str(n), "--seed", str(seed), "--out", str(out),
+    ]) == 0
+    expected = histogram_reference(out, 21)
+    # histogram reads record.json only
+    (out / "series.csv").unlink()
+    assert main(["histogram", "--out", str(out), "--bins", "21"]) == 0
+    assert (out / "histogram.csv").read_bytes() == expected
+
+
+def _drop_point_values(record):
+    del record["point"]["values"]
+
+
+def _guard_below_n(record):
+    record["point"]["guard"] = record["config"]["N"] - 1
+
+
+def _h_ddot_next_float(record):
+    record["stats"]["H_ddot"] = math.nextafter(record["stats"]["H_ddot"], math.inf)
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_drop_point_values, _guard_below_n, _h_ddot_next_float],
+    ids=["missing-key", "guard-below-N", "H_ddot-last-digit"],
+)
+def test_main_histogram_malformed_record_exit_code(tmp_path, capsys, corrupt):
+    out = tmp_path / "run"
+    rc = main(["clt", "--primes", "2", "--y", "1/3", "--N", "256", "--out", str(out)])
+    assert rc == 0
+    record = json.loads((out / "record.json").read_text())
+    corrupt(record)
+    (out / "record.json").write_text(json.dumps(record))
+    capsys.readouterr()
+    assert main(["histogram", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (out / "histogram.csv").exists()
+
+
+def test_main_histogram_heap_peak_within_run_clt(tmp_path, capsys):
+    # histogram rebuilds the series and bins its distinct values, weighted,
+    # so its traced heap peak stays within that of the run it describes
+    cfg = dict(primes=(2,), y=(F(1, 3),), n=2**18, seed=42)
+    run_clt(ExperimentConfig(**cfg, out=tmp_path))
+    peaks = []
+    for call in (
+        lambda: run_clt(ExperimentConfig(**cfg)),
+        lambda: main(["histogram", "--out", str(tmp_path)]),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
 
 
 def test_main_halton_stdout(capsys):
@@ -339,7 +441,6 @@ def reference_series_csv(path, series):
             writer.writerow([k, c, d // g, den // g, repr(d / den)])
 
 
-BIG = 2**70 + 1
 BLOCK_EDGE = 3 * cli.CSV_BLOCK_ROWS + 5
 
 

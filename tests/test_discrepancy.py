@@ -17,7 +17,7 @@ from haltonclt.discrepancy import (
     two_sided_discrepancy_naive,
     v_ryb,
 )
-from haltonclt.kernel import PrimeBasis, truncate
+from haltonclt.kernel import PrimeBasis, digit_reverse, truncate
 from haltonclt.odometer import DigitPoint, GuardExhausted, jump
 from haltonclt.rng import CounterRng
 from haltonclt.temporal import exact_moments
@@ -257,6 +257,16 @@ def test_max_depth_is_the_int64_limit(p):
     DigitReverser(p, MAX_DEPTH[p])
     with pytest.raises(ValueError):
         DigitReverser(p, MAX_DEPTH[p] + 1)
+
+
+@pytest.mark.parametrize("p", sorted(MAX_DEPTH))
+def test_chunk_table_is_digit_reversal(p):
+    rev = DigitReverser(p, 1)
+    c = 1
+    while p**c < rev.chunk_mod:
+        c += 1
+    assert rev.table.dtype == np.int64
+    assert rev.table.tolist() == [digit_reverse(v, p, c) for v in range(p**c)]
 
 
 def reference_flags(x, box, n):
