@@ -103,6 +103,15 @@ def parse_config_file(path: Path) -> dict[str, str]:
     return entries
 
 
+def _parse_bool(text: str) -> bool:
+    word = text.lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ConfigError(f"not a boolean: {text!r}; use true/false, yes/no or 1/0")
+
+
 # config file key -> (ExperimentConfig field, parser of the value text)
 CONFIG_KEYS = {
     "primes": ("primes", lambda t: tuple(int(v) for v in t.split(","))),
@@ -111,9 +120,7 @@ CONFIG_KEYS = {
     "seed": ("seed", int),
     "kappa1": ("kappa1", parse_rational),
     "out": ("out", Path),
-    "require_feasible": (
-        "require_feasible", lambda t: t.lower() in ("1", "true", "yes")
-    ),
+    "require_feasible": ("require_feasible", _parse_bool),
 }
 
 
@@ -132,6 +139,8 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError(
                 f"unknown config key {key!r}; known keys: {', '.join(CONFIG_KEYS)}"
             )
+        if not text.strip():
+            raise ConfigError(f"empty value for config key {key!r}")
         field, parse = CONFIG_KEYS[key]
         kwargs[field] = parse(text)
     return ExperimentConfig(**kwargs)
@@ -572,6 +581,9 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "histogram":
+            # checked before the series is rebuilt; emit_histogram checks too
+            if args.bins < 2:
+                raise ValueError("need at least 2 bins")
             outdir = Path(args.out)
             record = json.loads((outdir / "record.json").read_text())
             series = series_from_record(record)

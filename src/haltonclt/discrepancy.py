@@ -186,48 +186,6 @@ def fast_two_sided_discrepancy(
     return count - 2 * L * vol
 
 
-class DigitReverser:
-    """Digit reversal of int64 arrays for one (base, depth) pair.
-
-    Depth is padded to a multiple of c digits (zeros, which only scale the
-    result); chunk t of v, digits tc .. tc+c-1, is reversed through a table
-    of the m = p**c <= 4096 chunk values and weighted by weights[t].  The low
-    chunk of q*m is zero, so rev(q*m + r) = table[r] * weights[0] + rev(q*m)
-    for r < m, and a run of integers needs `reverse_array` only at q*m.
-    """
-
-    def __init__(self, p: int, depth: int):
-        c = 1
-        while p ** (c + 1) <= 4096:
-            c += 1
-        n_chunks = -(-depth // c)
-        self.padded_depth = n_chunks * c
-        if p**self.padded_depth >= 2**63:
-            raise ValueError(
-                f"base {p} depth {depth} (padded to {self.padded_depth}) "
-                "does not fit in int64"
-            )
-        self.chunk_mod = p**c
-        # digit_reverse(v, p, c) for every chunk value v, one digit at a time
-        rest = np.arange(self.chunk_mod, dtype=np.int64)
-        self.table = np.zeros_like(rest)
-        for _ in range(c):
-            rest, low = np.divmod(rest, p)
-            self.table = self.table * p + low
-        # weight of chunk t: reversed chunk lands at digit offset padded - c*(t+1)
-        self.divisors = [self.chunk_mod**t for t in range(n_chunks)]
-        self.weights = [
-            p ** (self.padded_depth - c * (t + 1)) for t in range(n_chunks)
-        ]
-
-    def reverse_array(self, v: np.ndarray) -> np.ndarray:
-        """Reversed-digit values at the padded depth."""
-        out = np.zeros_like(v)
-        for div, w in zip(self.divisors, self.weights):
-            out += self.table[(v // div) % self.chunk_mod] * w
-        return out
-
-
 @dataclass(frozen=True, eq=False)
 class DiscrepancySeries:
     """D(k) for k = 0 .. N-1, stored as int64 counts plus the exact volume.
@@ -286,30 +244,51 @@ class DiscrepancySeries:
         return self.counts.astype(np.float64) - 2.0 * k * (num / den)
 
 
-def _runs_below(rev: DigitReverser, lo: int, n: int, threshold: int) -> np.ndarray:
-    """rev(lo + j) < threshold for j = 0 .. n-1: the table row against each block."""
-    q0, r0 = divmod(lo, rev.chunk_mod)
-    heads = (q0 + np.arange((r0 + n - 1) // rev.chunk_mod + 1)) * rev.chunk_mod
-    low = rev.table * rev.weights[0]
-    return (low < (threshold - rev.reverse_array(heads))[:, None]).ravel()[r0 : r0 + n]
+def _reversed(v: np.ndarray, p: int, depth: int) -> np.ndarray:
+    """The last `depth` base-p digits of each v, reversed; one pass per digit."""
+    out = np.zeros_like(v)
+    for _ in range(depth):
+        v, low = np.divmod(v, p)
+        out = out * p + low
+    return out
+
+
+def _runs_below(p: int, depth: int, lo: int, n: int, threshold: int) -> np.ndarray:
+    """rev(lo + j) < threshold for j = 0 .. n-1, rev reversing `depth` digits.
+
+    With m = p**c <= 4096 (c <= depth) and lo + j = q*m + r, the reversal is
+    rev_c(r) * p**(depth-c) + rev_{depth-c}(q): one row of the m low values
+    against threshold - rev_{depth-c}(q) for each block head q the run meets.
+    """
+    c = 1
+    while c < depth and p ** (c + 1) <= 4096:
+        c += 1
+    m = p**c
+    q0, r0 = divmod(lo, m)
+    heads = q0 + np.arange((r0 + n - 1) // m + 1, dtype=np.int64)
+    low = _reversed(np.arange(m, dtype=np.int64), p, c) * p ** (depth - c)
+    high = _reversed(heads, p, depth - c)
+    return (low < (threshold - high)[:, None]).ravel()[r0 : r0 + n]
 
 
 def _membership_flags(x: DigitPoint, box: BoxTarget, n: int) -> np.ndarray:
     """flags[k] = (points joined at window size k+1 inside the box), summed.
 
     Entry k counts how many of the two new points jump(x, k) and
-    jump(x, -k-1) lie in the box (0, 1, or 2).  At the padded depth D a
+    jump(x, -k-1) lie in the box (0, 1, or 2).  At the stored depth D a
     coordinate is rev / p**D, and rev / p**D < num / den exactly when
     rev < ceil(num * p**D / den); that threshold is at most p**D, so the
-    comparison stays in int64 whatever the size of den.  The forward run is
-    v .. v+n-1 and the backward one v-n .. v-1 reversed, inside [0, p**D).
+    comparison stays in int64 whatever the size of den, and p**D < 2**63 is
+    the one limit on D.  The forward run is v .. v+n-1 and the backward one
+    v-n .. v-1 reversed, inside [0, p**D).
     """
     fwd, bwd = np.ones((2, n), dtype=bool)
     for p, depth, v, y in zip(x.basis.primes, x.depths, x.values, box.y):
-        rev = DigitReverser(p, depth)
-        threshold = -(-y.numerator * p**rev.padded_depth // y.denominator)
-        fwd &= _runs_below(rev, v, n, threshold)
-        bwd &= _runs_below(rev, v - n, n, threshold)[::-1]
+        if p**depth >= 2**63:
+            raise ValueError(f"base {p} depth {depth} does not fit in int64")
+        threshold = -(-y.numerator * p**depth // y.denominator)
+        fwd &= _runs_below(p, depth, v, n, threshold)
+        bwd &= _runs_below(p, depth, v - n, n, threshold)[::-1]
     return fwd.astype(np.int8) + bwd
 
 

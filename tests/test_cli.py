@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tracemalloc
+from argparse import Namespace
 from fractions import Fraction as F
 from itertools import count
 from math import gcd
@@ -13,6 +14,7 @@ import pytest
 
 from haltonclt import cli, temporal
 from haltonclt.cli import (
+    CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
     build_config,
@@ -112,6 +114,40 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
         assert main(["clt", "--config", str(cfg_file)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: unknown config key")
+
+
+def test_config_rejects_empty_values(tmp_path, monkeypatch, capsys):
+    # an empty out would be Path(""), the working directory
+    monkeypatch.chdir(tmp_path)
+    argvs = [["clt", "--primes", "2", "--y", "1/3", "--N", "64", "--out", ""]]
+    for key in CONFIG_KEYS:
+        cfg_file = tmp_path / f"{key}.cfg"
+        lines = {"primes": "2", "y": "1/3", "N": "64", key: ""}
+        cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        argvs.append(["clt", "--config", str(cfg_file)])
+    for argv in argvs:
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+    assert sorted(p.suffix for p in tmp_path.iterdir()) == [".cfg"] * len(CONFIG_KEYS)
+
+
+def test_require_feasible_parses_strictly(tmp_path, capsys):
+    def config_with(word):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"primes = 2\ny = 1/4\nrequire_feasible = {word}\n")
+        return cfg_file
+
+    for word in ("false", "No", "0", "FALSE"):
+        args = Namespace(config=str(config_with(word)))
+        assert build_config(args).require_feasible is False
+    # 1/4 fails the digit condition, so every true word refuses it, and so
+    # does a word that is neither
+    for word in ("true", "Yes", "1", "TRUE", "ture", "on"):
+        assert main(["clt", "--config", str(config_with(word))]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+    capsys.readouterr()
 
 
 def test_run_clt_smallest_horizon():
@@ -385,6 +421,21 @@ def test_clt_checks_condition_before_series(monkeypatch, capsys):
     assert main(["clt", "--primes", "2", "--y", "1/13", "--N", "64"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_histogram_checks_bins_before_series(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    assert main(["clt", "--primes", "2", "--y", "1/3", "--N", "64", "--out", str(out)]) == 0
+    capsys.readouterr()
+
+    def no_series(*args):
+        raise AssertionError("series rebuilt before --bins was checked")
+
+    monkeypatch.setattr(cli, "discrepancy_series", no_series)
+    assert main(["histogram", "--out", str(out), "--bins", "1"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (out / "histogram.csv").exists()
 
 
 def test_run_clt_stage_timings(tmp_path):

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from haltonclt.discrepancy import (
     BoxTarget,
-    DigitReverser,
     DiscrepancySeries,
     _membership_flags,
+    _reversed,
     crt_frame,
     discrepancy_series,
     fast_two_sided_discrepancy,
@@ -201,14 +201,14 @@ def test_bigint_fallback_matches_numpy_path():
 
 def test_series_depth_limit_is_int64():
     box = BoxTarget.create(B2, (F(1, 3),))
-    # depth 60 pads to 60 binary digits, 2^60 < 2^63: computed in int64
-    x = DigitPoint(B2, (60,), (2**59 + 12345,), guard=16)
+    # depth 62: 2^62 < 2^63, computed in int64 with no padding of the depth
+    x = DigitPoint(B2, (62,), (2**61 + 12345,), guard=16)
     series = discrepancy_series(x, box, 16)
     for k in (0, 7, 15):
         assert series.value(k) == two_sided_discrepancy_naive(x, box, k)
-    # depth 61 pads to 72 digits (chunks of 12), and 2^72 >= 2^63
-    x = DigitPoint(B2, (61,), (2**59 + 12345,), guard=16)
-    with pytest.raises(ValueError):
+    # depth 63: 2^63 does not fit in int64
+    x = DigitPoint(B2, (63,), (2**61 + 12345,), guard=16)
+    with pytest.raises(ValueError, match="int64"):
         discrepancy_series(x, box, 16)
 
 
@@ -246,27 +246,42 @@ def test_value_table_groups_repeated_values():
     assert values[index].tolist() == d.tolist()
 
 
-# the deepest digit count per base whose chunk-padded depth fits in int64
-MAX_DEPTH = {2: 60, 3: 35, 5: 25, 7: 20, 11: 18, 13: 15}
-CHUNK_MOD = {p: DigitReverser(p, 1).chunk_mod for p in MAX_DEPTH}
+# the deepest digit count per base with p**depth < 2**63
+MAX_DEPTH = {2: 62, 3: 39, 5: 27, 7: 22, 11: 18, 13: 17}
+# digits per block of the block flags: the largest c with p**c <= 4096
+CHUNK_DIGITS = {p: max(c for c in range(1, 13) if p**c <= 4096) for p in MAX_DEPTH}
 CORNER_DENS = (3, 2**70 + 1, 10**25 + 7)
 
 
 @pytest.mark.parametrize("p", sorted(MAX_DEPTH))
 def test_max_depth_is_the_int64_limit(p):
-    DigitReverser(p, MAX_DEPTH[p])
-    with pytest.raises(ValueError):
-        DigitReverser(p, MAX_DEPTH[p] + 1)
+    depth, guard = MAX_DEPTH[p], 16
+    assert p**depth < 2**63 <= p ** (depth + 1)
+    box = BoxTarget.create(PrimeBasis((p,)), (F(1, 3),))
+    # V at both guard edges and in the middle of [guard, p**depth - guard)
+    for v in (guard, p**depth // 2 + 12345, p**depth - 1 - guard):
+        x = DigitPoint(box.basis, (depth,), (v,), guard=guard)
+        series = discrepancy_series(x, box, guard)
+        for k in range(guard):
+            assert series.value(k) == two_sided_discrepancy_naive(x, box, k)
+    x = DigitPoint(box.basis, (depth + 1,), (p**depth,), guard=guard)
+    with pytest.raises(ValueError, match="int64"):
+        discrepancy_series(x, box, guard)
 
 
 @pytest.mark.parametrize("p", sorted(MAX_DEPTH))
 def test_chunk_table_is_digit_reversal(p):
-    rev = DigitReverser(p, 1)
-    c = 1
-    while p**c < rev.chunk_mod:
-        c += 1
-    assert rev.table.dtype == np.int64
-    assert rev.table.tolist() == [digit_reverse(v, p, c) for v in range(p**c)]
+    # the low row of the block flags: every value of the chunk digits
+    c = CHUNK_DIGITS[p]
+    table = _reversed(np.arange(p**c, dtype=np.int64), p, c)
+    assert table.dtype == np.int64
+    assert table.tolist() == [digit_reverse(v, p, c) for v in range(p**c)]
+    # and whole values up to the int64 depth limit
+    depth = MAX_DEPTH[p]
+    top = p**depth
+    v = [0, 1, p - 1, p, top // 3, top // 2 + 1, top - p, top - 1]
+    got = _reversed(np.array(v, dtype=np.int64), p, depth)
+    assert got.tolist() == [digit_reverse(u, p, depth) for u in v]
 
 
 def reference_flags(x, box, n):
@@ -275,10 +290,13 @@ def reference_flags(x, box, n):
     fwd = np.ones(n, dtype=bool)
     bwd = np.ones(n, dtype=bool)
     for p, depth, v, y in zip(x.basis.primes, x.depths, x.values, box.y):
-        rev = DigitReverser(p, depth)
-        threshold = -(-y.numerator * p**rev.padded_depth // y.denominator)
-        fwd &= rev.reverse_array(v + ks) < threshold
-        bwd &= rev.reverse_array(v - 1 - ks) < threshold
+        threshold = -(-y.numerator * p**depth // y.denominator)
+        for point, flags in ((v + ks, fwd), (v - 1 - ks, bwd)):
+            rev = np.zeros(n, dtype=np.int64)
+            for _ in range(depth):
+                rev = rev * p + point % p
+                point = point // p
+            flags &= rev < threshold
     return fwd.astype(np.int64) + bwd.astype(np.int64)
 
 
@@ -287,7 +305,7 @@ def flag_cases(draw):
     primes = draw(st.lists(st.sampled_from(sorted(MAX_DEPTH)), min_size=1,
                            max_size=2, unique=True))
     basis = PrimeBasis(tuple(sorted(primes)))
-    m = CHUNK_MOD[basis.primes[0]]
+    m = basis.primes[0] ** CHUNK_DIGITS[basis.primes[0]]
     n = draw(st.sampled_from((1, m - 1, m, m + 1, 3 * m + 5)))
     depths, values, y = [], [], []
     for p in basis.primes:
