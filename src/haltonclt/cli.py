@@ -196,8 +196,10 @@ def run_clt(config: ExperimentConfig) -> dict:
     """Full pipeline; returns the RunRecord and writes CSV/JSON if out is set.
 
     The digit condition is checked first, so a corner whose period is too
-    long to walk fails before the series is built.  series.csv is written
-    before record.json, so the record's timings include the CSV write.
+    long to walk fails before the series is built.  The exact moments and
+    series.csv read one value table, which is dropped before the float
+    statistics run.  series.csv is written before record.json, so the
+    record's timings include the CSV write.
     """
     t0 = time.perf_counter()
     rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -207,8 +209,18 @@ def run_clt(config: ExperimentConfig) -> dict:
     point = sample_point(config)
     series = discrepancy_series(point, box, config.n)
     t_series = time.perf_counter()
-    h_dot, h_ddot = temporal_moments(series)
+    table = series.value_table()
+    h_dot, h_ddot = temporal_moments(series, table)
     t_moments = time.perf_counter()
+    csv_seconds = 0.0
+    if config.out is not None:
+        config.out.mkdir(parents=True, exist_ok=True)
+        t_csv = time.perf_counter()
+        write_series_csv(config.out / "series.csv", series, table)
+        csv_seconds = time.perf_counter() - t_csv
+    # the table's index is N long, and the float statistics do not read it
+    del table
+    t_stats = time.perf_counter()
     if h_ddot > 0:
         stats = normalize_and_test(series, h_ddot, h_dot, s=config.basis.s)
     else:
@@ -233,12 +245,6 @@ def run_clt(config: ExperimentConfig) -> dict:
         }
     else:
         window = {"applicable": False}
-    csv_seconds = 0.0
-    if config.out is not None:
-        config.out.mkdir(parents=True, exist_ok=True)
-        t_csv = time.perf_counter()
-        write_series_csv(config.out / "series.csv", series)
-        csv_seconds = time.perf_counter() - t_csv
 
     rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     record = {
@@ -261,7 +267,7 @@ def run_clt(config: ExperimentConfig) -> dict:
             "condition_seconds": t_condition - t0,
             "series_seconds": t_series - t_condition,
             "moments_seconds": t_moments - t_series,
-            "normalize_seconds": t_normalize - t_moments,
+            "normalize_seconds": t_normalize - t_stats,
             "csv_seconds": csv_seconds,
             # ru_maxrss (KiB on Linux) is this run's own peak if it rose in it
             "peak_rss_mb": rss1 / 1024,
@@ -281,35 +287,63 @@ def run_clt(config: ExperimentConfig) -> dict:
 CSV_BLOCK_ROWS = 2**16
 
 
-def write_series_csv(path: Path, series) -> None:
+def write_series_csv(path: Path, series, table=None) -> None:
     """One row per k: the count and D(k) as a reduced fraction and a float.
 
     The last three columns depend only on d = D(k) * den, so they are
-    formatted once per distinct d: the reduced fraction is d/g over den/g for
+    formatted once per entry of the series' value table (`table`, when the
+    caller holds it already): the reduced fraction is d/g over den/g for
     g = gcd(d, den), and d / den of Python ints is the correctly rounded float
-    of D(k) (an int64 or float64 division is not).  Rows are written in
-    blocks of CSV_BLOCK_ROWS, in csv.writer's format.
+    of D(k) (an int64 or float64 division is not).  Each block of
+    CSV_BLOCK_ROWS rows is assembled as one NUL-padded byte matrix: the k and
+    count digits, two commas and the row's tail looked up by table index;
+    dropping the NULs leaves the bytes csv.writer would write for the block.
     """
     den = series.volume.denominator
-    values, _, index = series.value_table()
-    tails = np.array([_value_columns(d, den) for d in values.tolist()], dtype=object)
-    counts = series.counts
-    with open(path, "w", newline="") as fh:
-        fh.write("k,count,discrepancy_num,discrepancy_den,discrepancy_float\r\n")
+    values, _, index = series.value_table() if table is None else table
+    # NUL-padded to the longest tail
+    tails = np.array([_value_columns(d, den) for d in values.tolist()], dtype="S")
+    tail_width = tails.dtype.itemsize
+    with open(path, "wb") as fh:
+        fh.write(b"k,count,discrepancy_num,discrepancy_den,discrepancy_float\r\n")
         for lo in range(0, series.n, CSV_BLOCK_ROWS):
             hi = min(lo + CSV_BLOCK_ROWS, series.n)
-            fh.write("".join([
-                f"{k},{c},{tail}"
-                for k, c, tail in zip(
-                    range(lo, hi), counts[lo:hi].tolist(), tails[index[lo:hi]].tolist()
-                )
-            ]))
+            comma = np.full((hi - lo, 1), ord(","), dtype=np.uint8)
+            rows = np.concatenate([
+                _ascii_digits(np.arange(lo, hi)),
+                comma,
+                _ascii_digits(series.counts[lo:hi]),
+                comma,
+                tails[index[lo:hi]].view(np.uint8).reshape(hi - lo, tail_width),
+            ], axis=1)
+            fh.write(rows[rows != 0].tobytes())
 
 
-def _value_columns(d: int, den: int) -> str:
+def _value_columns(d: int, den: int) -> bytes:
     """The num, den and float columns of D = d / den, with the row's end."""
     g = gcd(d, den)
-    return f"{d // g},{den // g},{d / den!r}\r\n"
+    return f"{d // g},{den // g},{d / den!r}\r\n".encode()
+
+
+def _ascii_digits(v: np.ndarray) -> np.ndarray:
+    """The decimal digits of nonnegative integers v, one row each, as ASCII.
+
+    Rows are as wide as the largest value; each row's leading zeros are NUL
+    bytes, and 0 is the single digit "0".  The digits are taken one divmod
+    pass per position, in uint32 when every value fits.
+    """
+    top = int(v.max(initial=0))
+    if top < 2**32:
+        v = v.astype(np.uint32)
+    out = np.empty((len(v), len(str(top))), dtype=np.uint8)
+    v, digit = np.divmod(v, 10)
+    out[:, -1] = digit + ord("0")
+    for j in range(out.shape[1] - 2, -1, -1):
+        # v holds the digits left of column j + 1; where it is 0, column j pads
+        nonzero = v > 0
+        v, digit = np.divmod(v, 10)
+        out[:, j] = (digit + ord("0")) * nonzero
+    return out
 
 
 def read_series_csv(path: Path) -> list[dict]:
@@ -342,8 +376,9 @@ def emit_histogram(
     ]
 
 
-def series_from_record(record: dict) -> DiscrepancySeries:
-    """The discrepancy series of a clt run, rebuilt from its record.json alone.
+def series_from_record(record: dict) -> tuple[DiscrepancySeries, tuple]:
+    """The discrepancy series of a clt run, rebuilt from its record.json alone,
+    with its value table.
 
     The recorded point, corner and N give the series again.  Its exact
     moments must reproduce the recorded H_dot and H_ddot bit for bit, which
@@ -366,13 +401,14 @@ def series_from_record(record: dict) -> DiscrepancySeries:
         raise ValueError(f"malformed record.json: {type(exc).__name__} {exc}") from None
     except GuardExhausted as exc:
         raise ValueError(f"record.json: {exc}") from None
-    h_dot, h_ddot = temporal_moments(series)
+    table = series.value_table()
+    h_dot, h_ddot = temporal_moments(series, table)
     if (float(h_dot), h_ddot) != recorded:
         raise ValueError(
             f"record.json: its point gives H_dot = {float(h_dot)!r}, "
             f"H_ddot = {h_ddot!r}, not the recorded {recorded[0]!r}, {recorded[1]!r}"
         )
-    return series
+    return series, table
 
 
 # ---------------------------------------------------------------------------
@@ -584,9 +620,11 @@ def main(argv: list[str] | None = None) -> int:
             # checked before the series is rebuilt; emit_histogram checks too
             if args.bins < 2:
                 raise ValueError("need at least 2 bins")
+            if not args.out.strip():
+                raise ConfigError("empty value for --out")
             outdir = Path(args.out)
             record = json.loads((outdir / "record.json").read_text())
-            series = series_from_record(record)
+            series, table = series_from_record(record)
             h_ddot = record["stats"]["H_ddot"]
             if not h_ddot > 0:
                 raise ValueError(
@@ -595,7 +633,7 @@ def main(argv: list[str] | None = None) -> int:
                 )
             # d / den of Python ints is the float series.csv holds for D = d / den
             den = series.volume.denominator
-            values, weights, _ = series.value_table()
+            values, weights, _ = table
             samples = np.array([d / den for d in values.tolist()]) / h_ddot
             hist = emit_histogram(samples, args.bins, weights=weights)
             with open(outdir / "histogram.csv", "w", newline="") as fh:

@@ -13,18 +13,37 @@ from math import prod
 from typing import Sequence
 
 
+# Miller-Rabin with the first twelve primes as bases decides every n below
+# MILLER_RABIN_LIMIT, the least composite that passes all twelve (Sorenson
+# and Webster, 2015)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MILLER_RABIN_LIMIT = 318665857834031151167461
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; n >= MILLER_RABIN_LIMIT raises ValueError."""
+    if n >= MILLER_RABIN_LIMIT:
+        raise ValueError(
+            f"{n} is too large to test for primality (limit {MILLER_RABIN_LIMIT})"
+        )
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

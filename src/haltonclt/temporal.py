@@ -72,25 +72,33 @@ class ConditionReport:
     feasible: bool
 
 
-def exact_moments(series: DiscrepancySeries) -> tuple[Fraction, Fraction]:
+def exact_moments(
+    series: DiscrepancySeries, table: tuple | None = None
+) -> tuple[Fraction, Fraction]:
     """(mean of D(k), mean of D(k)^2), both exact.
 
     Summed in Python ints over the distinct scaled values d = D(k) * den,
-    each weighted by how many k take it.
+    each weighted by how many k take it: the series' `value_table()`, or
+    `table` when the caller holds it already.
     """
     den = series.volume.denominator
-    values, weights, _ = series.value_table()
-    table = list(zip(values.tolist(), weights.tolist()))
-    s1 = sum(d * w for d, w in table)
-    s2 = sum(d * d * w for d, w in table)
+    values, weights, _ = series.value_table() if table is None else table
+    pairs = list(zip(values.tolist(), weights.tolist()))
+    s1 = sum(d * w for d, w in pairs)
+    s2 = sum(d * d * w for d, w in pairs)
     return Fraction(s1, series.n * den), Fraction(s2, series.n * den * den)
 
 
-def temporal_moments(series: DiscrepancySeries) -> tuple[Fraction, float]:
-    """H_dot (exact) and H_ddot (float square root of the exact mean square)."""
+def temporal_moments(
+    series: DiscrepancySeries, table: tuple | None = None
+) -> tuple[Fraction, float]:
+    """H_dot (exact) and H_ddot (float square root of the exact mean square).
+
+    `table` is the series' `value_table()`, when the caller holds it already.
+    """
     if series.n < 1:
         raise ValueError("empty series")
-    mean, mean_sq = exact_moments(series)
+    mean, mean_sq = exact_moments(series, table)
     return mean, sqrt(mean_sq)
 
 

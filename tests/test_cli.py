@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from haltonclt import cli, temporal
 from haltonclt.cli import (
@@ -26,6 +28,7 @@ from haltonclt.cli import (
     sample_point,
 )
 from haltonclt.discrepancy import BoxTarget, discrepancy_series
+from haltonclt.kernel import MILLER_RABIN_LIMIT
 from haltonclt.odometer import DigitPoint
 from haltonclt.rng import CounterRng
 
@@ -388,6 +391,12 @@ def test_main_config_error_exit_code(capsys):
     assert main(["clt", "--primes", "2", "--y", "3/2"]) == 2
 
 
+def test_main_prime_past_the_primality_limit_exit_code(capsys):
+    assert main(["clt", "--primes", str(MILLER_RABIN_LIMIT), "--y", "1/3"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_main_zero_denominator_exit_code(capsys):
     assert main(["clt", "--primes", "2", "--y", "1/0"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
@@ -408,6 +417,31 @@ def test_main_discrepancy(tmp_path):
     )
     assert rc == 0
     assert (out / "series.csv").exists()
+
+
+def test_discrepancy_and_clt_write_the_same_series_csv(tmp_path, capsys):
+    # discrepancy builds its own value table; clt hands the moments' one over
+    args = ["--primes", "2,3", "--y", "1/5,2/5", "--N", "3000", "--seed", "7"]
+    assert main(["discrepancy", *args, "--out", str(tmp_path / "d")]) == 0
+    assert main(["clt", *args, "--out", str(tmp_path / "c")]) == 0
+    assert (tmp_path / "d" / "series.csv").read_bytes() == (
+        tmp_path / "c" / "series.csv"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize("out", ["", " "])
+def test_histogram_rejects_empty_out(tmp_path, monkeypatch, capsys, out):
+    # an empty --out would be Path(""), the working directory, which here
+    # holds a record.json
+    assert main(
+        ["clt", "--primes", "2", "--y", "1/3", "--N", "64", "--out", str(tmp_path)]
+    ) == 0
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["histogram", "--out", out]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "histogram.csv").exists()
 
 
 def test_clt_checks_condition_before_series(monkeypatch, capsys):
@@ -519,3 +553,53 @@ def test_write_series_csv_matches_reference(tmp_path, primes, y, n, seed, dtype)
     assert (tmp_path / "fast.csv").read_bytes() == (
         tmp_path / "reference.csv"
     ).read_bytes()
+
+
+@st.composite
+def writer_cases(draw):
+    """(primes, y, N, seed, block rows) for a small series."""
+    primes = draw(st.sampled_from([(2,), (3,), (2, 3)]))
+    y = []
+    for _ in primes:
+        den = draw(st.integers(2, 1000))
+        y.append(F(draw(st.integers(1, den - 1)), den))
+    n = draw(st.integers(2, 1500))
+    seed = draw(st.integers(0, 2**64 - 1))
+    block = draw(st.sampled_from([1, 3, 10, 100, 1000, cli.CSV_BLOCK_ROWS]))
+    return primes, tuple(y), n, seed, block
+
+
+# block edges at 10, 100 and 1000 meet k's digit carries; blocks of one row
+# put every carry of the count column at an edge too
+@given(writer_cases())
+@example(((2,), (F(1, 2),), 2, 0, 1))  # dyadic: every D(k) = 0
+@example(((2,), (F(1, 997),), 1200, 5, 100))  # mostly count-0 rows
+@example(((2,), (F(9, 10),), 1500, 3, 1))  # counts cross 9, 99 and 999
+@example(((2,), (F(9, 10),), 1500, 3, 10))
+@example(((2,), (F(9, 10),), 1500, 3, 1000))
+@settings(max_examples=100, deadline=None)
+def test_write_series_csv_matches_reference_on_small_series(tmp_path_factory, case):
+    primes, y, n, seed, block = case
+    cfg = ExperimentConfig(primes=primes, y=y, n=n, seed=seed)
+    series = discrepancy_series(
+        sample_point(cfg), BoxTarget.create(cfg.basis, cfg.y), n
+    )
+    out = tmp_path_factory.mktemp("writer")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "CSV_BLOCK_ROWS", block)
+        cli.write_series_csv(out / "fast.csv", series)
+    reference_series_csv(out / "reference.csv", series)
+    assert (out / "fast.csv").read_bytes() == (out / "reference.csv").read_bytes()
+
+
+def test_ascii_digits_pads_leading_zeros_with_nul():
+    small = [0, 9, 10, 99, 100, 999, 1000, 2**32 - 1]
+    large = small + [10**k - 1 for k in range(4, 19)] + [10**k for k in range(4, 19)]
+    large += [2**32, 2**63 - 1]
+    # values below 2^32 take the uint32 digit loop, the others int64
+    for values in ([0], small, large):
+        rows = cli._ascii_digits(np.array(values, dtype=np.int64))
+        assert rows.dtype == np.uint8 and rows.shape[1] == len(str(max(values)))
+        assert [bytes(row) for row in rows] == [
+            str(v).encode().rjust(rows.shape[1], b"\0") for v in values
+        ]

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from haltonclt.kernel import (
+    MILLER_RABIN_LIMIT,
     PrimeBasis,
+    _is_prime,
     count_residue_in_range,
     crt_inverses,
     digit,
@@ -188,3 +191,33 @@ def test_prime_basis_validation():
     with pytest.raises(ValueError):
         PrimeBasis((2, 2))
     assert PrimeBasis((2, 3, 5)).p0 == 30
+
+
+def test_is_prime_agrees_with_trial_division():
+    def by_trial_division(n):
+        return n >= 2 and all(n % f for f in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(10**5) if _is_prime(n)] == [
+        n for n in range(10**5) if by_trial_division(n)
+    ]
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # Carmichael numbers, then the least strong pseudoprime to bases 2, 3, 5, 7
+    for n in (561, 1105, 3215031751):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeBasis((n,))
+
+
+def test_large_prime_basis_is_fast():
+    start = time.perf_counter()
+    assert PrimeBasis((10**14 + 31,)).p0 == 10**14 + 31
+    assert time.perf_counter() - start < 0.1
+
+
+def test_is_prime_refuses_n_past_the_deterministic_limit():
+    # the limit itself is the least composite that passes all twelve bases
+    assert MILLER_RABIN_LIMIT == 399165290221 * 798330580441
+    with pytest.raises(ValueError, match="too large"):
+        PrimeBasis((MILLER_RABIN_LIMIT,))
