@@ -37,6 +37,7 @@ from .temporal import (
     normal_cdf,
     normalize_and_test,
     temporal_moments,
+    theorem_prime,
     theorem_window,
     variance_growth_fit,
 )

@@ -215,12 +215,15 @@ class DiscrepancySeries:
         Counts are nonnegative, so every d_k and both products lie within
         max(2N, largest count) * den, which is 2N * den for a series that
         `discrepancy_series` built.  Below 2**63 the array is int64;
-        otherwise it holds Python ints (dtype object).
+        otherwise it holds Python ints (dtype object).  The int64 array is
+        built in place over k, with one N-long temporary.
         """
         num, den = self.volume.numerator, self.volume.denominator
         k = np.arange(self.n, dtype=np.int64)
         if max(2 * self.n, int(self.counts.max(initial=0))) * den < 2**63:
-            return self.counts * den - k * (2 * num)
+            k *= -2 * num
+            k += self.counts * den
+            return k
         return self.counts.astype(object) * den - k.astype(object) * (2 * num)
 
     def value_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

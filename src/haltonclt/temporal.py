@@ -4,9 +4,13 @@ The time window k = 0 .. N-1 is the sampling ensemble.  The temporal mean
 H_dot and mean square H_ddot^2 are exact Python-int sums over the series'
 value table (`DiscrepancySeries.value_table`), the few hundred distinct
 scaled values d = D(k) * den with their weights, converted to floating point
-once.  The sample moments of D / H_ddot and its KS distance, which reads the
-normal CDF at the ends of runs of the sorted values only, are taken from the
-float series (`float_values`), whose rounding the pinned records depend on.
+once.  The sample moments of z = D / H_ddot and its KS distance are taken
+from the float series (`float_values`), whose rounding the pinned records
+depend on.  z takes few distinct floats (118-166 in 1-D at N = 2^20-2^22,
+about 3 500 in 3-D), though more than the table has, since each float is
+rounded per k.  So the skewness and kurtosis powers are evaluated once per
+distinct float of z and gathered back in series order, and KS reads the
+normal CDF at the ends of runs of the distinct values only.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from math import log2, pi, sqrt
 import numpy as np
 
 from .discrepancy import BoxTarget, DiscrepancySeries
-from .kernel import PrimeBasis
+from .kernel import PrimeBasis, _is_prime
 
 # Normal CDF via the Abramowitz-Stegun 26.2.17 polynomial in
 # t = 1/(1 + 0.2316419 x); absolute error below 7.5e-8.  Implemented here
@@ -110,15 +114,26 @@ def ks_normal(samples: np.ndarray) -> float:
     cross 0, where `normal_cdf` switches branch with a jump of 1.05e-9.  In a
     run cdf's slope <= 0.4 raises it by < 0.1/n a step, so hi rises and lo
     falls by > 0.9/n: cdf is needed only at run ends (hi) and starts (lo).
+    Equal values never straddle a break, so the runs are read off the
+    distinct values of z and their counts (`_ks_distinct`).
     """
-    z = np.sort(np.asarray(samples, dtype=np.float64))
-    n = len(z)
-    if n == 0:
+    z = np.asarray(samples, dtype=np.float64)
+    if z.size == 0:
         raise ValueError("no samples")
-    cut = np.flatnonzero((np.diff(z) >= 0.25 / n) | np.diff(z < 0))
-    starts, ends = np.r_[0, cut + 1], np.r_[cut, n - 1]
-    hi = (ends + 1) / n - normal_cdf(z[ends])
-    lo = normal_cdf(z[starts]) - starts / n
+    return _ks_distinct(*np.unique(z, return_counts=True))
+
+
+def _ks_distinct(u: np.ndarray, counts: np.ndarray) -> float:
+    """`ks_normal` of the samples taking the sorted distinct values u, u[i]
+    counts[i] times: in the sorted samples the last copy of u[i] sits at
+    cumsum(counts)[i] - 1 and its first at cumsum(counts)[i] - counts[i].
+    """
+    above = np.cumsum(counts)
+    n = int(above[-1])
+    cut = np.flatnonzero((np.diff(u) >= 0.25 / n) | np.diff(u < 0))
+    first, last = np.r_[0, cut + 1], np.r_[cut, len(u) - 1]
+    hi = above[last] / n - normal_cdf(u[last])
+    lo = normal_cdf(u[first]) - (above[first] - counts[first]) / n
     return float(max(hi.max(), lo.max()))
 
 
@@ -128,6 +143,9 @@ def normalize_and_test(
     """Normalize D(k) by the temporal RMS and compare to the standard normal.
 
     `h_dot` and `h_ddot` are the series' `temporal_moments`, taken by the caller.
+    z = D / H_ddot takes few distinct floats, so each power is taken once per
+    distinct float and gathered back in series order: the mean then sums the
+    same terms in the same order as over z itself.
     """
     if h_ddot <= 0:
         raise ValueError("degenerate normalizer")
@@ -135,13 +153,16 @@ def normalize_and_test(
     mean = float(z.mean())
     var = float(z.var())
     sd = sqrt(var) if var > 0 else 1.0
-    skew = float(((z - mean) ** 3).mean()) / sd**3
-    kurt = float(((z - mean) ** 4).mean()) / sd**4 - 3.0
+    u, counts = np.unique(z, return_counts=True)
+    at = np.searchsorted(u, z)
+    del z  # N floats; each gathered power is another N
+    skew = float(((u - mean) ** 3)[at].mean()) / sd**3
+    kurt = float(((u - mean) ** 4)[at].mean()) / sd**4 - 3.0
     return TemporalStats(
         n=series.n,
         h_dot=float(h_dot),
         h_ddot=h_ddot,
-        ks_distance=ks_normal(z),
+        ks_distance=_ks_distinct(u, counts),
         mean=mean,
         variance=var,
         skewness=skew,
@@ -178,6 +199,42 @@ def condition_check(box: BoxTarget, kappa1: Fraction) -> ConditionReport:
         kappa3=kappa3(box.basis, kappa1, kappa2),
         feasible=kappa2 > 0,
     )
+
+
+def theorem_prime(box: BoxTarget) -> int | None:
+    """p_{s+1} when the corner meets the theorem's hypothesis, else None.
+
+    The hypothesis: every y_i is p_{s+1}-rational, so each denominator is a
+    power q^e (e >= 1) of one prime q shared by all coordinates, and q is
+    not in the basis.  q is the e-th root of the least denominator for the
+    largest e that has an exact one, and it is tested for primality last: a
+    root at or past `kernel.MILLER_RABIN_LIMIT` that passes the other tests
+    raises ValueError, as in `PrimeBasis`.
+    """
+    dens = [y.denominator for y in box.y]
+    least = min(dens)
+    q = next(
+        r for e in range(least.bit_length(), 0, -1)
+        if (r := _iroot(least, e)) ** e == least
+    )
+    if q in box.basis.primes:
+        return None
+    for d in dens:
+        while d % q == 0:
+            d //= q
+        if d != 1:
+            return None
+    return q if _is_prime(q) else None
+
+
+def _iroot(n: int, e: int) -> int:
+    """floor(n ** (1/e)) for n >= 1, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // e)
+    while True:
+        t = ((e - 1) * r + n // r ** (e - 1)) // e
+        if t >= r:
+            return r
+        r = t
 
 
 def _period_density(y: Fraction, p: int, kappa1: Fraction) -> Fraction:

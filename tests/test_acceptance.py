@@ -27,6 +27,7 @@ from haltonclt import (
     ks_normal,
     step,
     temporal_moments,
+    theorem_prime,
     theorem_window,
     condition_check,
     two_sided_discrepancy_naive,
@@ -288,6 +289,8 @@ def test_criterion_7_clt_statistics(pinned_runs, pinned_series):
     """
     rng = CounterRng(107)
     for x, box, series in pinned_series.values():
+        # the theorem's hypothesis: y = 1/3 is 3-rational, 3 not in the basis
+        assert theorem_prime(box) == 3
         assert_matches_oracle(rng, x, box, series)
     stats, failed = clt_gate(
         {n: series for n, (_, _, series) in pinned_series.items()},
@@ -332,6 +335,8 @@ def test_criterion_9_two_dimensional_run(two_d_run):
     over 2^14, 2^16, 2^18.
     """
     record, (x, box, series) = two_d_run
+    # the theorem's hypothesis: both coordinates 5-rational, 5 not in the basis
+    assert theorem_prime(box) == 5
     assert_matches_oracle(CounterRng(109), x, box, series)
     stats, failed = clt_gate({TWO_D.n: series}, SHAPE_9, CENTRING_9)
     raw, shape, mu = stats[TWO_D.n]

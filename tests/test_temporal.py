@@ -1,20 +1,26 @@
+from dataclasses import fields
 from fractions import Fraction as F
 from math import erfc, fsum, gcd, log2, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from haltonclt import temporal
 from haltonclt.cli import ExperimentConfig, main, sample_point
 from haltonclt.discrepancy import BoxTarget, DiscrepancySeries, discrepancy_series
-from haltonclt.kernel import PrimeBasis
+from haltonclt.kernel import MILLER_RABIN_LIMIT, PrimeBasis
 from haltonclt.temporal import (
+    TemporalStats,
     condition_check,
     exact_moments,
     ks_normal,
     normal_cdf,
     normalize_and_test,
+    scaled_rms,
     temporal_moments,
+    theorem_prime,
     theorem_window,
     variance_growth_fit,
 )
@@ -146,6 +152,76 @@ def test_ks_matches_full_sort_on_golden_series(primes, y, n, seed):
     assert ks_normal(z) == reference_ks(z)
 
 
+def reference_normalize(series, h_ddot, h_dot, s):
+    """normalize_and_test with every power taken over the full float series."""
+    z = series.float_values() / h_ddot
+    mean = float(z.mean())
+    var = float(z.var())
+    sd = sqrt(var) if var > 0 else 1.0
+    skew = float(((z - mean) ** 3).mean()) / sd**3
+    kurt = float(((z - mean) ** 4).mean()) / sd**4 - 3.0
+    return TemporalStats(
+        n=series.n,
+        h_dot=float(h_dot),
+        h_ddot=h_ddot,
+        ks_distance=reference_ks(z),
+        mean=mean,
+        variance=var,
+        skewness=skew,
+        excess_kurtosis=kurt,
+        scaled_rms=scaled_rms(h_ddot, series.n, s),
+    )
+
+
+BIG = 2**70 + 1
+
+# (primes, y) of the orbits drawn below: the golden 1-D, 2-D and 3-D
+# corners, one whose values are all distinct (den = 3^14 > 2(N - 1)) and
+# one whose scaled values are Python ints (den = 2^70 + 1)
+STATS_CORNERS = [
+    ((2,), (F(1, 3),)),
+    ((2, 3), (F(1, 5), F(2, 5))),
+    ((2, 3, 5), (F(1, 3), F(2, 5), F(3, 7))),
+    ((2,), (F(1, 3**14),)),
+    ((2,), (F(BIG // 3, BIG),)),
+]
+
+
+@st.composite
+def stats_cases(draw):
+    """(series, s): a seeded orbit at a corner above, or counts built from
+    drawn flags in {0, 1, 2} over a small denominator, so values tie in
+    blocks and cross 0."""
+    n = draw(st.integers(2, 3000))
+    if draw(st.booleans()):
+        primes, y = draw(st.sampled_from(STATS_CORNERS))
+        seed = draw(st.integers(0, 2**32))
+        cfg = ExperimentConfig(primes=primes, y=y, n=n, seed=seed)
+        box = BoxTarget.create(cfg.basis, y)
+        return discrepancy_series(sample_point(cfg), box, n), len(primes)
+    flags = draw(st.lists(st.sampled_from((0, 1, 2)), min_size=n - 1, max_size=n - 1))
+    den = draw(st.integers(2, 12))
+    volume = F(draw(st.integers(1, den - 1)), den)
+    counts = np.concatenate(([0], np.cumsum(flags, dtype=np.int64)))
+    return DiscrepancySeries(n, counts, volume), 1
+
+
+@given(stats_cases())
+@example((DiscrepancySeries(2, (0, 1), F(1, 3)), 1))
+@example((DiscrepancySeries(3, (0, 1, 1), F(1, 3)), 1))  # 0, 1/3, -1/3
+@example((DiscrepancySeries(6, (0, 1, 2, 3, 3, 3), F(1, 2)), 1))  # ties at 0
+@settings(max_examples=150, deadline=None)
+def test_normalize_matches_per_sample_powers(case):
+    series, s = case
+    h_dot, h_ddot = temporal_moments(series)
+    assume(h_ddot > 0)
+    got = normalize_and_test(series, h_ddot, h_dot, s)
+    want = reference_normalize(series, h_ddot, h_dot, s)
+    for field in fields(TemporalStats):
+        name = field.name
+        assert repr(getattr(got, name)) == repr(getattr(want, name)), name
+
+
 def test_normalized_second_moment_is_one():
     rng = np.random.default_rng(13)
     counts = tuple(int(c) for c in rng.integers(0, 3, size=256).cumsum())
@@ -238,6 +314,71 @@ def test_condition_check_period_cap(monkeypatch, capsys):
     assert main(["condition", "--primes", "2", "--y", "1/13"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_theorem_prime_on_golden_corners():
+    # 2^70 + 1 is divisible by 2^14 + 1 = 5 * 29 * 113; 1/2 has 2 in the basis
+    got = [
+        theorem_prime(BoxTarget.create(PrimeBasis(primes), y))
+        for primes, y, _, _ in GOLDEN_CONFIGS
+    ]
+    assert got == [3, 5, None, None, None]
+
+
+HYPOTHESIS_PRIMES = (2, 3, 5, 7, 11, 13, 8191, 2**61 - 1)
+
+
+@st.composite
+def prime_power_corners(draw):
+    """(basis primes, y, q): every y_i has denominator q^e_i, q not in the basis."""
+    q = draw(st.sampled_from(HYPOTHESIS_PRIMES))
+    others = [p for p in HYPOTHESIS_PRIMES[:6] if p != q]
+    primes = draw(
+        st.lists(st.sampled_from(others), min_size=1, max_size=3, unique=True)
+    )
+    y = []
+    for _ in primes:
+        den = q ** draw(st.integers(1, 4 if q < 100 else 2))
+        y.append(F(draw(st.integers(1, den - 1)), den))
+    return tuple(primes), y, q
+
+
+@given(prime_power_corners())
+@settings(max_examples=200, deadline=None)
+def test_theorem_prime_reads_prime_powers(case):
+    primes, y, q = case
+    assert theorem_prime(BoxTarget.create(PrimeBasis(primes), y)) == q
+
+
+@given(prime_power_corners(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_theorem_prime_rejects_products(case, data):
+    primes, y, q = case
+    i = data.draw(st.integers(0, len(y) - 1))
+    r = data.draw(st.sampled_from([p for p in HYPOTHESIS_PRIMES[:6] if p != q]))
+    # q^a * r^e, with (q*r)^e among them; the numerator cancels neither prime
+    den = y[i].denominator * r ** data.draw(st.integers(1, 2))
+    # past the primality limit a 1-D product cannot be told from a prime
+    assume(len(y) > 1 or den < MILLER_RABIN_LIMIT)
+    num = data.draw(st.integers(1, den - 1).filter(lambda v: v % q and v % r))
+    y[i] = F(num, den)
+    assert theorem_prime(BoxTarget.create(PrimeBasis(primes), y)) is None
+
+
+def test_theorem_prime_past_the_primality_limit():
+    q = 2**61 - 1
+    assert theorem_prime(BoxTarget.create(B2, (F(1, q**2),))) == q
+    with pytest.raises(ValueError, match="too large"):
+        theorem_prime(BoxTarget.create(B2, (F(1, 3 * q**2),)))
+
+
+@given(prime_power_corners(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_theorem_prime_rejects_a_basis_holding_q(case, data):
+    primes, y, q = case
+    i = data.draw(st.integers(0, len(primes) - 1))
+    with_q = primes[:i] + (q,) + primes[i + 1:]
+    assert theorem_prime(BoxTarget.create(PrimeBasis(with_q), y)) is None
 
 
 def test_theorem_window_worked_example():
