@@ -26,7 +26,6 @@ from .discrepancy import (
     crt_frame,
     discrepancy_series,
     fast_two_sided_discrepancy,
-    in_box,
     two_sided_discrepancy_naive,
 )
 from .temporal import (

@@ -2,8 +2,8 @@
 
 Two independent algorithms compute the same quantity:
 
-* a naive membership counter that walks the orbit window and compares each
-  point against the box corner with exact rational arithmetic, and
+* a naive counter that reverses the digits of every orbit-window point and
+  compares it with the box corner by exact integer cross-multiplication, and
 * a fast counter that decomposes the (digit-truncated) box into elementary
   intervals, turns multidimensional digit-prefix matching into one congruence
   mod P_r via the Chinese Remainder Theorem, and counts residues in the index
@@ -31,7 +31,7 @@ from .kernel import (
     truncate,
     v_value,
 )
-from .odometer import DigitPoint, GuardExhausted, jump
+from .odometer import DigitPoint, GuardExhausted
 
 
 @dataclass(frozen=True)
@@ -66,15 +66,14 @@ class BoxTarget:
         )
 
 
-def in_box(z: Sequence[Fraction], y: Sequence[Fraction]) -> bool:
-    """Half-open membership: z_i < y_i for every coordinate, exactly."""
-    return all(zi < yi for zi, yi in zip(z, y))
-
-
 def two_sided_discrepancy_naive(
     x: DigitPoint, box: BoxTarget, L: int, corner: Sequence[Fraction] | None = None
 ) -> Fraction:
     """D over the window k = -L .. L-1, by explicit membership tests.
+
+    All window points at once: coordinate i of jump(x, k) is rev(V_i + k) / p**D
+    (rev reverses D digits), below num / den exactly when rev * den < num * p**D.
+    int64 while den * p**D < 2**63, else Python ints (dtype object).
 
     `corner` optionally replaces the box corner (used to test truncated
     corners against the fast counter).
@@ -84,11 +83,20 @@ def two_sided_discrepancy_naive(
     if L > x.guard:
         raise GuardExhausted(f"L={L} exceeds guard {x.guard}")
     target = tuple(corner) if corner is not None else box.y
-    count = 0
-    for k in range(-L, L):
-        if in_box(jump(x, k).coordinates(), target):
-            count += 1
-    return count - 2 * L * prod(target, start=Fraction(1))
+    inside = np.ones(2 * L, dtype=bool)
+    for p, depth, v, y in zip(x.basis.primes, x.depths, x.values, target):
+        num, den = y.numerator, y.denominator
+        dtype = np.int64 if den * p**depth < 2**63 else object
+        w = np.arange(v - L, v + L, dtype=dtype)
+        # in place, so that a window holds w, rev and one digit array at a time
+        rev = np.zeros_like(w)
+        for _ in range(depth):
+            rev *= p
+            rev += w % p
+            w //= p
+        rev *= den
+        inside &= rev < num * p**depth
+    return int(inside.sum()) - 2 * L * prod(target, start=Fraction(1))
 
 
 @dataclass(frozen=True)

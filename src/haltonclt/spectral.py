@@ -5,9 +5,9 @@ residue window I*_{P_r}; this module evaluates both sides (exact counting vs
 the frequency sum) and the brute-force expectation of joint character sums
 over all digit prefixes of x.
 
-All complex exponentials e(t) = exp(2 pi i t) range-reduce t to [0,1) in
-exact rational arithmetic first, since the moduli can be large enough that
-naive floating reduction loses every significant digit.
+A phase a / q is range-reduced to [0,1) as the integer residue (a mod q) / q
+before any float is formed, since naive float reduction can lose every digit;
+int / int is correctly rounded, so it is the float of Fraction(a, q) mod 1.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ def phi_coefficient(p_r: int, L: int, m: int) -> complex:
     """Frequency-m coefficient of the window indicator over the residue ring."""
     if m == 0 or m not in residue_window(p_r):
         raise ValueError(f"m={m} not in the nonzero residue window of {p_r}")
-    num = 2j * sin(2 * pi * float(Fraction(m * L, p_r) % 1))
-    den = p_r * (e(Fraction(m, p_r)) - 1)
+    num = 2j * sin(2 * pi * (m * L % p_r / p_r))
+    den = p_r * (e(m % p_r / p_r) - 1)
     return num / den
 
 
@@ -52,18 +52,7 @@ def psi_factor(p_i: int, m_prime: int, y_digit: int) -> complex:
         raise ValueError("reduced frequency out of range")
     if not 0 <= y_digit < p_i:
         raise ValueError("digit out of range")
-    return sum(
-        e(Fraction(m_prime * (b - y_digit), p_i)) for b in range(y_digit)
-    )
-
-
-def psi_product(frame: CrtFrame, box: BoxTarget, m: int) -> complex:
-    """Product of per-coordinate psi factors at the reduced frequencies."""
-    out = complex(1)
-    for i, (p, ri) in enumerate(zip(frame.basis.primes, frame.r)):
-        m_prime = (-m * frame.m_inv[i]) % p
-        out *= psi_factor(p, m_prime, box.digit(i, ri))
-    return out
+    return sum(e(m_prime * (b - y_digit) % p_i / p_i) for b in range(y_digit))
 
 
 def cell_sum_direct(frame: CrtFrame, box: BoxTarget, L: int) -> Fraction:
@@ -89,16 +78,20 @@ def cell_sum_fourier(frame: CrtFrame, box: BoxTarget, L: int) -> complex:
         raise ValueError("L must be >= 1")
     if frame.p_r > MAX_FREQUENCIES:
         raise ValueError(f"modulus {frame.p_r} exceeds enumeration cap")
+    # psi factor of coordinate i at every reduced frequency m' = -m * M_i mod p_i
+    coords = [
+        (p, mi, [psi_factor(p, m_prime, box.digit(i, ri)) for m_prime in range(p)])
+        for i, (p, ri, mi) in enumerate(zip(frame.basis.primes, frame.r, frame.m_inv))
+    ]
+    p_r, shift = frame.p_r, frame.v_rx - frame.v_ry
     total = complex(0)
-    phase_base = Fraction(frame.v_rx - frame.v_ry, frame.p_r)
-    for m in residue_window(frame.p_r):
+    for m in residue_window(p_r):
         if m == 0:
             continue
-        total += (
-            phi_coefficient(frame.p_r, L, m)
-            * psi_product(frame, box, m)
-            * e(m * phase_base)
-        )
+        psi = complex(1)
+        for p, mi, table in coords:
+            psi *= table[-m * mi % p]
+        total += phi_coefficient(p_r, L, m) * psi * e(m * shift % p_r / p_r)
     return total
 
 

@@ -1,8 +1,9 @@
 from fractions import Fraction as F
+from math import gcd, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from haltonclt.discrepancy import (
@@ -13,7 +14,6 @@ from haltonclt.discrepancy import (
     crt_frame,
     discrepancy_series,
     fast_two_sided_discrepancy,
-    in_box,
     two_sided_discrepancy_naive,
     v_ryb,
 )
@@ -32,6 +32,21 @@ def random_case(rng, primes, max_l=2048, max_depth=12):
     x = DigitPoint.sample(basis, L, rng, [m] * basis.s)
     y = tuple(F(1 + rng.below(998), 1000) for _ in primes)
     return x, BoxTarget.create(basis, y), L, m
+
+
+def in_box(z, y):
+    """Half-open membership: z_i < y_i for every coordinate, exactly."""
+    return all(zi < yi for zi, yi in zip(z, y))
+
+
+def reference_naive(x, box, L, corner=None):
+    """The window count point by point, each coordinate a Fraction."""
+    target = tuple(corner) if corner is not None else box.y
+    count = 0
+    for k in range(-L, L):
+        if in_box(jump(x, k).coordinates(), target):
+            count += 1
+    return count - 2 * L * prod(target, start=F(1))
 
 
 def test_in_box_examples():
@@ -327,3 +342,78 @@ def flag_cases(draw):
 def test_membership_flags_match_per_element_reversal(case):
     x, box, n = case
     assert np.array_equal(_membership_flags(x, box, n), reference_flags(x, box, n))
+
+
+# (p, depth, den) with den * p**depth = 2**63 - 1 (= 7**2 * 73 * 127 * ...) and
+# = 2**63: the last int64 case of the naive counter and the first object one
+NAIVE_BOUNDARY = (
+    (7, 2, (2**63 - 1) // 7**2),
+    (127, 1, (2**63 - 1) // 127),
+    (2, 12, 2**51),
+    (2, 62, 2),
+)
+NAIVE_DENS = (3, 1000, 2**64 + 13, 2**70 + 1, 10**25 + 7)
+
+
+def coprime_numerator(den, start):
+    num = min(max(start, 1), den - 1)
+    while gcd(num, den) != 1:
+        num = num + 1 if num + 1 < den else 1
+    return num
+
+
+@st.composite
+def naive_cases(draw):
+    s = draw(st.integers(1, 3))
+    primes = draw(st.lists(st.sampled_from((2, 3, 5, 7, 13, 127)), min_size=s,
+                           max_size=s, unique=True))
+    basis = PrimeBasis(tuple(primes))
+    guard = draw(st.integers(0, 24))
+    L = draw(st.one_of(st.just(0), st.just(guard), st.integers(0, guard)))
+    depths, values, y = [], [], []
+    for p in primes:
+        boundary = [
+            (d, den) for q, d, den in NAIVE_BOUNDARY if q == p and p**d > 2 * guard
+        ]
+        if boundary and draw(st.booleans()):
+            depth, den = draw(st.sampled_from(boundary))
+        else:
+            depth = draw(st.integers(1, 70))
+            while p**depth <= 2 * guard:
+                depth += 1
+            den = draw(st.sampled_from(NAIVE_DENS))
+        # offsets 0 and -1 put V at the two guard edges; large ones pass 2**64
+        offset = draw(st.one_of(st.just(0), st.just(-1), st.integers(0, 2**80)))
+        depths.append(depth)
+        values.append(guard + offset % (p**depth - 2 * guard))
+        y.append(F(coprime_numerator(den, draw(st.integers(1, den - 1))), den))
+    x = DigitPoint(basis, tuple(depths), tuple(values), guard=guard)
+    box = BoxTarget.create(basis, y)
+    kind = draw(st.sampled_from(("box", "truncated", "window point")))
+    corner = None
+    if kind == "truncated":
+        corner = box.truncated(draw(st.integers(1, max(depths))))
+    elif kind == "window point" and L > 0:
+        # a corner on a window point: the half-open boundary is met exactly
+        corner = jump(x, draw(st.integers(-L, L - 1))).coordinates()
+    return x, box, L, corner
+
+
+def boundary_case(p, depth, den, L):
+    basis = PrimeBasis((p,))
+    y = F(coprime_numerator(den, den // 3), den)
+    assert y.denominator * p**depth in (2**63 - 1, 2**63)
+    x = DigitPoint(basis, (depth,), (p**depth // 2,), guard=L)
+    return x, BoxTarget.create(basis, (y,)), L, None
+
+
+@given(naive_cases())
+@example(boundary_case(7, 2, (2**63 - 1) // 7**2, 24))
+@example(boundary_case(2, 12, 2**51, 2047))
+@example(boundary_case(2, 62, 2, 0))
+@settings(max_examples=200, deadline=None)
+def test_naive_matches_pointwise_fraction_walk(case):
+    x, box, L, corner = case
+    got = two_sided_discrepancy_naive(x, box, L, corner=corner)
+    want = reference_naive(x, box, L, corner=corner)
+    assert got == want and type(got) is type(want)

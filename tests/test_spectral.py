@@ -1,9 +1,11 @@
 import cmath
 from fractions import Fraction as F
 from itertools import product
-from math import sqrt
+from math import pi, sin, sqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from haltonclt.cli import random_frequency, random_multi_index
 from haltonclt.discrepancy import BoxTarget, crt_frame, fast_two_sided_discrepancy
@@ -181,3 +183,60 @@ def test_exact_phase_reduction():
     # huge rational arguments keep full precision through range reduction
     t = F(2**80 + 1, 3)  # 2^80 + 1 == 2 mod 3
     assert abs(e(t) - e(F(2, 3))) < 1e-15
+
+
+def reference_cell_sum_fourier(frame, box, L):
+    """The Fourier cell sum with every phase a Fraction, psi rebuilt per m."""
+    total = complex(0)
+    phase_base = F(frame.v_rx - frame.v_ry, frame.p_r)
+    for m in residue_window(frame.p_r):
+        if m == 0:
+            continue
+        num = 2j * sin(2 * pi * float(F(m * L, frame.p_r) % 1))
+        phi = num / (frame.p_r * (e(F(m, frame.p_r)) - 1))
+        psi = complex(1)
+        for i, (p, ri) in enumerate(zip(frame.basis.primes, frame.r)):
+            m_prime = (-m * frame.m_inv[i]) % p
+            d = box.digit(i, ri)
+            psi *= sum(e(F(m_prime * (b - d), p)) for b in range(d))
+        total += phi * psi * e(m * phase_base)
+    return total
+
+
+@st.composite
+def fourier_frames(draw):
+    primes = draw(st.sampled_from(((2,), (3,), (13,), (2, 3), (3, 5), (2, 3, 5))))
+    basis = PrimeBasis(primes)
+    admissible = sorted(
+        (r for r in product(range(1, 13), repeat=basis.s)
+         if basis.modulus(r) <= 4096),
+        key=basis.modulus,
+    )
+    # the largest moduli, next to 4096, as often as all the others
+    r = draw(st.one_of(st.sampled_from(admissible[-4:]), st.sampled_from(admissible)))
+    L = draw(st.integers(1, 10**4))
+    depths, values, y = [], [], []
+    for p, ri in zip(primes, r):
+        depth = ri
+        while p**depth < 4 * L:
+            depth += 1
+        depths.append(depth)
+        values.append(L + draw(st.integers(0, p**depth - 2 * L - 1)))
+        # the first ri + 1 digits drawn, so digit ri is often 0; the 1/3 of a
+        # unit in the last place keeps y inside (0, 1) with those digits
+        digits = draw(st.lists(st.integers(0, p - 1), min_size=ri + 1, max_size=ri + 1))
+        n = len(digits)
+        y.append(F(sum(dj * p ** (n - 1 - j) for j, dj in enumerate(digits)), p**n)
+                 + F(1, 3 * p**n))
+    x = DigitPoint(basis, tuple(depths), tuple(values), L)
+    box = BoxTarget.create(basis, y)
+    return crt_frame(basis, r, x, box), box, L
+
+
+@given(fourier_frames())
+@settings(max_examples=60, deadline=None)
+def test_cell_sum_fourier_matches_fraction_phases_bit_for_bit(case):
+    frame, box, L = case
+    assert repr(cell_sum_fourier(frame, box, L)) == repr(
+        reference_cell_sum_fourier(frame, box, L)
+    )

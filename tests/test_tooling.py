@@ -2,7 +2,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
-from haltonclt import cli
+from haltonclt import cli, discrepancy
 
 SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -24,3 +24,14 @@ def test_write_series_csv_takes_the_path_first():
     # the benchmark weighs cli.csv_bytes as os.path.getsize(args[0])
     first = next(iter(inspect.signature(cli.write_series_csv).parameters))
     assert first == "path"
+
+
+def test_naive_oracle_shares_no_code_with_what_it_checks():
+    # the naive counter is the oracle of the series and the CRT counter, so it
+    # may not call their digit reversal, block flags, frames or residue counts
+    names = set(discrepancy.two_sided_discrepancy_naive.__code__.co_names)
+    shared = {
+        "_reversed", "_runs_below", "_membership_flags", "discrepancy_series",
+        "crt_frame", "count_residue_in_range", "v_ryb",
+    }
+    assert not names & shared
