@@ -216,9 +216,9 @@ def run_clt(config: ExperimentConfig) -> dict:
     if config.out is not None:
         config.out.mkdir(parents=True, exist_ok=True)
         t_csv = time.perf_counter()
-        write_series_csv(config.out / "series.csv", series, table)
+        write_series_csv(config.out / "series.csv", series, table[0])
         csv_seconds = time.perf_counter() - t_csv
-    # the table's index is N long, and the float statistics do not read it
+    # the float statistics do not read the table, N long if all_distinct
     del table
     t_stats = time.perf_counter()
     if h_ddot > 0:
@@ -277,34 +277,45 @@ def run_clt(config: ExperimentConfig) -> dict:
         "version": __version__,
     }
     if config.out is not None:
-        (config.out / "record.json").write_text(
-            json.dumps(record, indent=2, sort_keys=True) + "\n"
-        )
+        with _create_output(config.out / "record.json") as fh:
+            fh.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
     return record
+
+
+def _create_output(path: Path, binary: bool = False):
+    """Open a new file at `path` for writing, after unlinking what was there
+    (a symlink, not its target).  Opening an existing file with "w" makes
+    ext4 write its old contents back first, seconds over a big series.csv;
+    an unlinked file's dirty pages are dropped.  Every CLI output opens here.
+    """
+    path.unlink(missing_ok=True)
+    return open(path, "xb") if binary else open(path, "x", newline="")
 
 
 # rows formatted and written at a time by write_series_csv
 CSV_BLOCK_ROWS = 2**16
 
 
-def write_series_csv(path: Path, series, table=None) -> None:
+def write_series_csv(path: Path, series, values=None) -> None:
     """One row per k: the count and D(k) as a reduced fraction and a float.
 
     The last three columns depend only on d = D(k) * den, so they are
-    formatted once per entry of the series' value table (`table`, when the
-    caller holds it already): the reduced fraction is d/g over den/g for
-    g = gcd(d, den), and d / den of Python ints is the correctly rounded float
-    of D(k) (an int64 or float64 division is not).  Each block of
+    formatted once per value of the series' value table (`values`, when the
+    caller holds the table already): the reduced fraction is d/g over den/g
+    for g = gcd(d, den), and d / den of Python ints is the correctly rounded
+    float of D(k) (an int64 or float64 division is not).  Each block of
     CSV_BLOCK_ROWS rows is assembled as one NUL-padded byte matrix: the k and
-    count digits, two commas and the row's tail looked up by table index;
+    count digits, two commas and the row's tail looked up by `value_index`;
     dropping the NULs leaves the bytes csv.writer would write for the block.
     """
     den = series.volume.denominator
-    values, _, index = series.value_table() if table is None else table
+    if values is None:
+        values, _ = series.value_table()
+    index = series.value_index(values)
     # NUL-padded to the longest tail
     tails = np.array([_value_columns(d, den) for d in values.tolist()], dtype="S")
     tail_width = tails.dtype.itemsize
-    with open(path, "wb") as fh:
+    with _create_output(path, binary=True) as fh:
         fh.write(b"k,count,discrepancy_num,discrepancy_den,discrepancy_float\r\n")
         for lo in range(0, series.n, CSV_BLOCK_ROWS):
             hi = min(lo + CSV_BLOCK_ROWS, series.n)
@@ -546,7 +557,8 @@ def run_verify(suite: str, seed: int = 1, out: Path | None = None) -> int:
         ok = _verify_roundtrip(rng, report)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        (out / f"verify_{suite}.txt").write_text("\n".join(report) + "\n")
+        with _create_output(out / f"verify_{suite}.txt") as fh:
+            fh.write("\n".join(report) + "\n")
     print(f"{suite}: {'PASS' if ok else 'FAIL'} ({len(report)} cases)")
     return 0 if ok else 1
 
@@ -607,7 +619,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.out:
                 outdir = Path(args.out)
                 outdir.mkdir(parents=True, exist_ok=True)
-                with open(outdir / "halton.csv", "w", newline="") as fh:
+                with _create_output(outdir / "halton.csv") as fh:
                     writer = csv.writer(fh)
                     writer.writerow(["k"] + [f"phi_{p}" for p in basis.primes])
                     writer.writerows(rows)
@@ -633,10 +645,10 @@ def main(argv: list[str] | None = None) -> int:
                 )
             # d / den of Python ints is the float series.csv holds for D = d / den
             den = series.volume.denominator
-            values, weights, _ = table
+            values, weights = table
             samples = np.array([d / den for d in values.tolist()]) / h_ddot
             hist = emit_histogram(samples, args.bins, weights=weights)
-            with open(outdir / "histogram.csv", "w", newline="") as fh:
+            with _create_output(outdir / "histogram.csv") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(["bin_left", "bin_right", "observed", "expected"])
                 writer.writerows(hist)

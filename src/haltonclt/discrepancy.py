@@ -214,9 +214,6 @@ class DiscrepancySeries:
     def value(self, k: int) -> Fraction:
         return int(self.counts[k]) - 2 * k * self.volume
 
-    def values(self) -> list[Fraction]:
-        return [self.value(k) for k in range(self.n)]
-
     def scaled_values(self) -> np.ndarray:
         """d_k = D(k) * den = counts[k] * den - 2k * num, exactly.
 
@@ -234,20 +231,28 @@ class DiscrepancySeries:
             return k
         return self.counts.astype(object) * den - k.astype(object) * (2 * num)
 
-    def value_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(values, weights, index): the scaled values d_k without repeats,
-        how many k take each, and for each k the position of d_k in values.
+    @property
+    def all_distinct(self) -> bool:
+        """d_j = d_k means (c_j - c_k) * den = 2(j - k) * num, and num, den
+        are coprime, so den divides 2(j - k): no two d_k are equal."""
+        return self.volume.denominator > 2 * (self.n - 1)
 
-        d_j = d_k means (c_j - c_k) * den = 2(j - k) * num, and num, den are
-        coprime, so den divides 2(j - k).  Once den > 2(N - 1) every d_k is
-        distinct and the table is d itself, unsorted: sorting an object array
-        compares Python ints one pair at a time.  Otherwise values are sorted.
+    def value_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, weights): the scaled values d_k without repeats, sorted,
+        and how many k take each; d itself, unsorted, when `all_distinct`
+        (sorting an object array compares Python ints one pair at a time).
         """
         d = self.scaled_values()
-        if self.volume.denominator > 2 * (self.n - 1):
-            return d, np.ones(self.n, dtype=np.int64), np.arange(self.n)
-        values, weights = np.unique(d, return_counts=True)
-        return values, weights, np.searchsorted(values, d)
+        if self.all_distinct:
+            return d, np.ones(self.n, dtype=np.int64)
+        return np.unique(d, return_counts=True)
+
+    def value_index(self, values: np.ndarray) -> np.ndarray:
+        """For each k, the position of d_k in the table's `values`; N long,
+        so only series.csv builds it."""
+        if self.all_distinct:
+            return np.arange(self.n)
+        return np.searchsorted(values, self.scaled_values())
 
     def float_values(self) -> np.ndarray:
         num, den = self.volume.numerator, self.volume.denominator

@@ -127,7 +127,8 @@ def character_expectation_bruteforce(
     if p_r0 > MAX_DIGIT_PATTERNS:
         raise ValueError(f"{p_r0} digit patterns exceed enumeration cap")
 
-    # a frame's phase depends on x only through V_i mod p_i**r_i
+    # a frame's phase depends on x only through V_i mod p_i**r_i; it is kept
+    # as its numerator over P_r0, which every P_r divides
     tables = []
     for r, m in zip(r_list, m_list):
         p_r = basis.modulus(r)
@@ -138,7 +139,7 @@ def character_expectation_bruteforce(
         )
         moduli = tuple(p**ri for p, ri in zip(basis.primes, r))
         phase = {
-            v: Fraction(m * ((crt_combine(basis, r, m_inv, v) - v_y) % p_r), p_r)
+            v: m * ((crt_combine(basis, r, m_inv, v) - v_y) % p_r) * (p_r0 // p_r)
             for v in product(*(range(q) for q in moduli))
         }
         tables.append((moduli, phase))
@@ -146,8 +147,8 @@ def character_expectation_bruteforce(
     per_coord = [basis.primes[i] ** r0[i] for i in range(s)]
     total = complex(0)
     for vs in product(*(range(c) for c in per_coord)):
-        omega = Fraction(0)
+        omega = 0
         for moduli, phase in tables:
             omega += phase[tuple(v % q for v, q in zip(vs, moduli))]
-        total += e(omega)
+        total += e(omega % p_r0 / p_r0)
     return total / p_r0

@@ -82,11 +82,11 @@ def exact_moments(
     """(mean of D(k), mean of D(k)^2), both exact.
 
     Summed in Python ints over the distinct scaled values d = D(k) * den,
-    each weighted by how many k take it: the series' `value_table()`, or
-    `table` when the caller holds it already.
+    each weighted by how many k take it: the (values, weights) of the
+    series' `value_table()`, or `table` when the caller holds it already.
     """
     den = series.volume.denominator
-    values, weights, _ = series.value_table() if table is None else table
+    values, weights = series.value_table() if table is None else table
     pairs = list(zip(values.tolist(), weights.tolist()))
     s1 = sum(d * w for d, w in pairs)
     s2 = sum(d * d * w for d, w in pairs)

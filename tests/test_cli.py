@@ -1,7 +1,9 @@
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import tracemalloc
 from argparse import Namespace
 from fractions import Fraction as F
@@ -27,7 +29,7 @@ from haltonclt.cli import (
     run_verify,
     sample_point,
 )
-from haltonclt.discrepancy import BoxTarget, discrepancy_series
+from haltonclt.discrepancy import BoxTarget, DiscrepancySeries, discrepancy_series
 from haltonclt.kernel import MILLER_RABIN_LIMIT
 from haltonclt.odometer import DigitPoint
 from haltonclt.rng import CounterRng
@@ -395,6 +397,61 @@ def test_main_prime_past_the_primality_limit_exit_code(capsys):
     assert main(["clt", "--primes", str(MILLER_RABIN_LIMIT), "--y", "1/3"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+CLT_ARGS = ["clt", "--primes", "2", "--y", "1/3", "--N", "256", "--seed", "3"]
+
+
+def test_clt_out_replaces_its_files_instead_of_truncating_them(tmp_path, capsys):
+    # handles open on the first run's files still read that run's bytes, so
+    # the second run wrote new files rather than over the old ones; the
+    # handles also keep the old inodes from being reused by the new files
+    names = ("series.csv", "record.json", "histogram.csv")
+    assert main([*CLT_ARGS, "--out", str(tmp_path)]) == 0
+    assert main(["histogram", "--out", str(tmp_path)]) == 0
+    first = {name: (tmp_path / name).read_bytes() for name in names}
+    with contextlib.ExitStack() as stack:
+        held = {name: stack.enter_context(open(tmp_path / name, "rb")) for name in names}
+        assert main([*CLT_ARGS[:-1], "4", "--out", str(tmp_path)]) == 0
+        assert main(["histogram", "--out", str(tmp_path)]) == 0
+        for name in names:
+            assert held[name].read() == first[name], name
+            assert os.fstat(held[name].fileno()).st_ino != (
+                (tmp_path / name).stat().st_ino
+            ), name
+    assert (tmp_path / "series.csv").read_bytes() != first["series.csv"]
+
+
+def test_clt_out_replaces_a_symlink_and_leaves_its_target(tmp_path, capsys):
+    target = tmp_path / "elsewhere.csv"
+    target.write_bytes(b"kept\n")
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "series.csv").symlink_to(target)
+    assert main([*CLT_ARGS, "--out", str(out)]) == 0
+    assert not (out / "series.csv").is_symlink()
+    assert (out / "series.csv").read_bytes().startswith(b"k,count,")
+    assert target.read_bytes() == b"kept\n"
+
+
+def test_clt_out_series_csv_directory_exit_code(tmp_path, capsys):
+    (tmp_path / "series.csv").mkdir()
+    assert main([*CLT_ARGS, "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
+def test_only_series_csv_builds_the_value_index(tmp_path, monkeypatch, capsys):
+    assert main([*CLT_ARGS, "--out", str(tmp_path)]) == 0
+
+    def no_index(self, values):
+        raise AssertionError("the N-long value index was built")
+
+    monkeypatch.setattr(DiscrepancySeries, "value_index", no_index)
+    run_clt(ExperimentConfig(primes=(2,), y=(F(1, 3),), n=256, seed=3))
+    assert main(["histogram", "--out", str(tmp_path)]) == 0
+    with pytest.raises(AssertionError, match="value index"):
+        main([*CLT_ARGS, "--out", str(tmp_path / "again")])
 
 
 def test_main_zero_denominator_exit_code(capsys):

@@ -229,7 +229,7 @@ def test_series_depth_limit_is_int64():
 
 def test_series_value_representation():
     s = DiscrepancySeries(3, (0, 1, 1), F(1, 3))
-    assert s.values() == [0, F(1, 3), 1 - F(4, 3)]
+    assert [s.value(k) for k in range(3)] == [0, F(1, 3), 1 - F(4, 3)]
 
 
 @pytest.mark.parametrize("den,dtype", [(2**56 - 1, np.int64), (2**56 + 1, object)])
@@ -242,12 +242,12 @@ def test_scaled_values_int64_object_boundary(den, dtype):
     series = discrepancy_series(DigitPoint.sample(B2, n, CounterRng(5)), box, n)
     d = series.scaled_values()
     assert d.dtype == dtype
-    assert d.tolist() == [series.value(k) * den for k in range(n)]
-    assert exact_moments(series) == (
-        sum(series.values()) / n, sum(v * v for v in series.values()) / n
-    )
-    values, weights, index = series.value_table()
-    assert values[index].tolist() == d.tolist() and weights.sum() == n
+    exact = [series.value(k) for k in range(n)]
+    assert d.tolist() == [v * den for v in exact]
+    assert exact_moments(series) == (sum(exact) / n, sum(v * v for v in exact) / n)
+    values, weights = series.value_table()
+    assert weights.sum() == n
+    assert values[series.value_index(values)].tolist() == d.tolist()
 
 
 def test_value_table_groups_repeated_values():
@@ -255,10 +255,10 @@ def test_value_table_groups_repeated_values():
     series = DiscrepancySeries(6, (0, 1, 1, 2, 3, 3), F(1, 3))
     d = series.scaled_values()
     assert d.tolist() == [0, 1, -1, 0, 1, -1]
-    values, weights, index = series.value_table()
+    values, weights = series.value_table()
     assert values.tolist() == [-1, 0, 1]
     assert weights.tolist() == [2, 2, 2]
-    assert values[index].tolist() == d.tolist()
+    assert values[series.value_index(values)].tolist() == d.tolist()
 
 
 # the deepest digit count per base with p**depth < 2**63

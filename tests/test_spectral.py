@@ -4,12 +4,17 @@ from itertools import product
 from math import pi, sin, sqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from haltonclt.cli import random_frequency, random_multi_index
-from haltonclt.discrepancy import BoxTarget, crt_frame, fast_two_sided_discrepancy
-from haltonclt.kernel import PrimeBasis
+from haltonclt.discrepancy import (
+    BoxTarget,
+    crt_combine,
+    crt_frame,
+    fast_two_sided_discrepancy,
+)
+from haltonclt.kernel import PrimeBasis, crt_inverses, v_value
 from haltonclt.odometer import DigitPoint
 from haltonclt.rng import CounterRng
 from haltonclt.spectral import (
@@ -239,4 +244,62 @@ def test_cell_sum_fourier_matches_fraction_phases_bit_for_bit(case):
     frame, box, L = case
     assert repr(cell_sum_fourier(frame, box, L)) == repr(
         reference_cell_sum_fourier(frame, box, L)
+    )
+
+
+def reference_character_expectation(basis, r_list, m_list, box):
+    """The brute-force character expectation with every phase a Fraction."""
+    r0 = tuple(max(r[i] for r in r_list) for i in range(basis.s))
+    tables = []
+    for r, m in zip(r_list, m_list):
+        p_r = basis.modulus(r)
+        m_inv = crt_inverses(basis, r)
+        v_y = crt_combine(
+            basis, r, m_inv,
+            [v_value(y, p, ri) for y, p, ri in zip(box.y, basis.primes, r)],
+        )
+        moduli = tuple(p**ri for p, ri in zip(basis.primes, r))
+        phase = {
+            v: F(m * ((crt_combine(basis, r, m_inv, v) - v_y) % p_r), p_r)
+            for v in product(*(range(q) for q in moduli))
+        }
+        tables.append((moduli, phase))
+    total = complex(0)
+    for vs in product(*(range(p**ri) for p, ri in zip(basis.primes, r0))):
+        omega = F(0)
+        for moduli, phase in tables:
+            omega += phase[tuple(v % q for v, q in zip(vs, moduli))]
+        total += e(omega)
+    return total / basis.modulus(r0)
+
+
+@st.composite
+def character_cases(draw):
+    primes = draw(st.sampled_from(((2,), (3,), (2, 3), (3, 5))))
+    basis = PrimeBasis(primes)
+    admissible = [
+        r for r in product(range(1, 9), repeat=basis.s) if basis.modulus(r) <= 256
+    ]
+    mu = draw(st.integers(2, 4))
+    r_list = draw(st.lists(st.sampled_from(admissible), min_size=mu, max_size=mu))
+    m_list = []
+    for r in r_list:
+        p_r = basis.modulus(r)
+        m_list.append(
+            draw(st.integers(-((p_r - 1) // 2), p_r // 2).filter(lambda m: m != 0))
+        )
+    y = []
+    for _ in primes:
+        den = draw(st.integers(2, 1000))
+        y.append(F(draw(st.integers(1, den - 1)), den))
+    return basis, r_list, m_list, BoxTarget.create(basis, y)
+
+
+@given(character_cases())
+@example((B2, [(1,), (2,)], [1, -2], BoxTarget.create(B2, (F(1, 3),))))  # delta 1
+@settings(max_examples=60, deadline=None)
+def test_character_expectation_matches_fraction_phases_bit_for_bit(case):
+    basis, r_list, m_list, box = case
+    assert repr(character_expectation_bruteforce(basis, r_list, m_list, box)) == repr(
+        reference_character_expectation(basis, r_list, m_list, box)
     )

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import inspect
 from pathlib import Path
@@ -35,3 +36,27 @@ def test_naive_oracle_shares_no_code_with_what_it_checks():
         "crt_frame", "count_residue_in_range", "v_ryb",
     }
     assert not names & shared
+
+
+def test_cli_opens_files_for_writing_only_through_create_output():
+    # truncating an existing output in place stalls on ext4 until the old
+    # contents are written back; `_create_output` unlinks first
+    tree = ast.parse(Path(inspect.getsourcefile(cli)).read_text())
+    helper = next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_create_output"
+    )
+    inside = {id(node) for node in ast.walk(helper)}
+    writers = []
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call) or id(call) in inside:
+            continue
+        name = getattr(call.func, "id", getattr(call.func, "attr", None))
+        modes = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+        writes = any(
+            not isinstance(m, ast.Constant) or set(str(m.value)) & set("wxa+")
+            for m in modes
+        )
+        if name in ("write_text", "write_bytes") or name == "open" and writes:
+            writers.append(call.lineno)
+    assert not writers, f"cli.py writes a file at lines {writers}"
